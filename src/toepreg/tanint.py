@@ -10,6 +10,13 @@ Column degree bookkeeping is exact integer arithmetic: every absorbed
 condition raises exactly one column's shifted degree by one, and the pivot
 always comes from the currently lowest columns, which is what keeps the
 basis reduced throughout.
+
+The serial sweep works in a coefficient cube that tracks each column's
+coefficient length; its ``length`` is the largest of them.  An absorbed
+condition lengthens its pivot column by one and no column past that, so a
+leaf of K conditions over p columns returns a basis about
+K/(p-1) + 1 coefficients long, not K + 1, and every evaluation, self-check
+and combine product downstream works on that true length.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class TanIntDiagnostics:
     difficult_points: int = 0
     recursion_depth: int = 0
     max_column_scale: float = 1.0
+    # Leaf sweeps beyond the first, summed over leaves.
+    leaf_retries: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -82,6 +91,7 @@ class TanIntDiagnostics:
             "difficult_points": self.difficult_points,
             "recursion_depth": self.recursion_depth,
             "max_column_scale": self.max_column_scale,
+            "leaf_retries": self.leaf_retries,
         }
 
 
@@ -135,13 +145,22 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
 
 
 class _Workspace:
-    """Mutable coefficient cube (p, p, capacity) for the working basis."""
+    """Mutable coefficient cube (p, p, capacity) for the working basis.
 
-    __slots__ = ("c", "length")
+    ``lens[j]`` is the coefficient length of column j: every slot of that
+    column at or past it is exactly zero.  ``length`` is the largest of them,
+    the true length of the basis, and every read and write stays inside it.
+    Absorbing a condition lengthens the pivot column by one and brings the
+    columns mixed with it up to the pivot's old length, so the cube grows
+    with the basis degree, not with the number of conditions.
+    """
+
+    __slots__ = ("c", "lens", "length")
 
     def __init__(self, p, capacity):
         self.c = np.zeros((p, p, capacity), dtype=np.complex128)
         self.c[:, :, 0] = np.eye(p)
+        self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
 
     @classmethod
@@ -150,6 +169,7 @@ class _Workspace:
         ws = cls.__new__(cls)
         ws.c = np.zeros((p, p, length + slack), dtype=np.complex128)
         ws.c[:, :, :length] = coeffs
+        ws.lens = np.full(p, length, dtype=np.int64)
         ws.length = length
         return ws
 
@@ -159,21 +179,24 @@ class _Workspace:
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node)."""
-        length = self.length
-        if length >= self.c.shape[2]:
+        lens = self.lens
+        lj = int(lens[j])
+        if lj >= self.c.shape[2]:
             raise RuntimeError("workspace capacity exceeded")
-        head = self.c[:, j, :length].copy()
-        self.c[:, :, :length] += mu[None, :, None] * head[:, None, :]
-        self.c[:, j, :length] = -node * head
-        self.c[:, j, 1:length + 1] += head
-        self.length = length + 1
+        head = self.c[:, j, :lj].copy()
+        self.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
+        self.c[:, j, :lj] = -node * head
+        self.c[:, j, 1:lj + 1] += head
+        np.maximum(lens, lj, out=lens, where=mu != 0.0)
+        lens[j] = lj + 1
+        self.length = int(lens.max())
 
     def rescale(self, trigger: float = _RESCALE_TRIGGER):
         colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
         big = colmax > trigger
         if not big.any():
             return None
-        self.c[:, big, :] /= colmax[big][None, :, None]
+        self.c[:, big, :self.length] /= colmax[big][None, :, None]
         return float(colmax[big].max())
 
     def normalize(self):
@@ -408,7 +431,7 @@ class _Engine:
         w_in = self.weights[:, idx, :]
         scale = float(np.abs(w_in).max())
         best = None
-        for perm in _leaf_orders(len(idx)):
+        for attempt, perm in enumerate(_leaf_orders(len(idx))):
             order = idx[perm]
             sub = self.weights[:, order, :].swapaxes(0, 1).reshape(
                 len(order) * rows, -1)
@@ -428,6 +451,7 @@ class _Engine:
             if best[0] <= _LEAF_CHECK_TOL:
                 break
         _, coeffs, cd, deferred, factor = best
+        self.diag.leaf_retries += attempt
         self.col_degrees[:] = cd
         self.deferred.extend(deferred)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import toepreg.tanint as tanint
 from helpers import dense_tikhonov, random_spec, rel_err
+from toepreg.experiments import random_problem
 from toepreg.extension import InterpolationCondition, assemble
 from toepreg.fftpoly import NEG_INF, MatrixPoly, poly_eval
 from toepreg.tanint import (
     SingularSystemError,
+    TanIntDiagnostics,
     TauState,
     basis_residuals,
     extract_solution,
@@ -121,6 +124,57 @@ def test_single_point_basis_underflow():
         single_point_basis([0.0, 0.0], 1.0, [0, 0])
 
 
+# ------------------------------------------------------------ workspace
+
+def _full_cube_step(c, j, node, mu):
+    """The workspace update applied to every slot of the cube."""
+    head = c[:, j, :].copy()
+    assert not head[:, -1].any()
+    c += mu[None, :, None] * head[:, None, :]
+    c[:, j, :] = -node * head
+    c[:, j, 1:] += head[:, :-1]
+
+
+def _assert_true_lengths(ws, ref):
+    for j in range(ws.c.shape[1]):
+        assert not ws.c[:, j, ws.lens[j]:].any()
+    assert ws.length == ws.lens.max()
+    assert np.abs(ws.view()[:, :, -1]).max() > 0.0
+    # same coefficients as the whole-cube update, and nothing past length
+    assert np.array_equal(ws.view(), ref[:, :, :ws.length])
+    assert not ref[:, :, ws.length:].any()
+
+
+def test_workspace_tracks_true_column_lengths():
+    rng = np.random.default_rng(72)
+    p = 4
+    ref = np.zeros((p, p, 48), dtype=np.complex128)
+    ref[:, :, 0] = np.eye(p)
+    ws = tanint._Workspace(p, 25)
+
+    def steps(ws, count):
+        for _ in range(count):
+            j = int(rng.integers(p))
+            node = np.exp(2j * np.pi * rng.uniform())
+            mu = crandn(rng, p)
+            mu[rng.uniform(size=p) < 0.3] = 0.0
+            mu[j] = 0.0
+            ws.step(j, node, mu)
+            _full_cube_step(ref, j, node, mu)
+            _assert_true_lengths(ws, ref)
+
+    steps(ws, 24)
+    assert ws.lens.min() < ws.length
+    colmax = np.abs(ref).max(axis=(0, 2))
+    assert ws.rescale(trigger=1.0) == colmax.max()
+    ref /= np.where(colmax > 1.0, colmax, 1.0)[None, :, None]
+    _assert_true_lengths(ws, ref)
+    ws = tanint._Workspace.from_coeffs(ws.view(), 16)
+    assert np.array_equal(ws.lens, np.full(p, ws.length))
+    _assert_true_lengths(ws, ref)
+    steps(ws, 16)
+
+
 # ------------------------------------------------------ serial constructor
 
 def test_serial_empty_conditions_identity():
@@ -152,6 +206,7 @@ def test_serial_full_small_problem():
     assert deferred == []
     assert np.count_nonzero(ts.col_degrees == 0) == 1
     assert np.count_nonzero(ts.col_degrees == 1) == system.p - 1
+    assert np.abs(basis.coeffs[:, :, -1]).max() > 0.0
     x = extract_solution(basis, ts, problem.n)
     assert rel_err(x, dense_tikhonov(problem)) < 1e-9
 
@@ -247,6 +302,54 @@ def test_recursive_defers_few_points_at_scale():
     # deferred or not, the final basis satisfies every condition
     res = np.abs(basis_residuals(system, basis)).max()
     assert res < 1e-8 * np.abs(system.weights).max()
+
+
+def _record_leaves(monkeypatch):
+    """Patch the engine to log (conditions, basis coeffs) of every leaf and
+    count every sweep; returns (leaves, sweeps)."""
+    leaves, sweeps = [], []
+    serial_leaf, serial_core = tanint._Engine._serial_leaf, tanint._serial_core
+
+    def leaf(self, offsets, stride):
+        basis = serial_leaf(self, offsets, stride)
+        leaves.append((self.rows * len(self._indices(offsets, stride)),
+                       basis.coeffs))
+        return basis
+
+    def core(*args):
+        sweeps.append(1)
+        return serial_core(*args)
+
+    monkeypatch.setattr(tanint._Engine, "_serial_leaf", leaf)
+    monkeypatch.setattr(tanint, "_serial_core", core)
+    return leaves, sweeps
+
+
+def test_leaf_bases_carry_no_dead_tail(monkeypatch):
+    # Every condition raises only its pivot column, and a square general
+    # system spreads a leaf's K conditions evenly over p - 1 columns.
+    system = assemble(random_problem("general", 2048, np.random.default_rng(1)))
+    leaves, _ = _record_leaves(monkeypatch)
+    basis, deferred = rec_tan_int(system)
+    assert not deferred
+    p = system.p
+    assert [k for k, _ in leaves] == [192] * 64 and p == 7
+    for k, coeffs in leaves:
+        assert coeffs.shape == (p, p, k // (p - 1) + 1)
+        assert np.abs(coeffs[:, :, -1]).max() > 0.0
+    assert np.abs(basis.coeffs[:, :, -1]).max() > 0.0
+
+
+@pytest.mark.parametrize("variant, retried", [("general", True), ("l2", False)])
+def test_leaf_retries_count_extra_sweeps(monkeypatch, variant, retried):
+    system = assemble(random_problem(variant, 512, np.random.default_rng(7)))
+    leaves, sweeps = _record_leaves(monkeypatch)
+    diag = TanIntDiagnostics()
+    _, deferred = rec_tan_int(system, diagnostics=diag)
+    assert not deferred   # so every sweep is a leaf sweep, none a cleanup
+    assert diag.leaf_retries == len(sweeps) - len(leaves)
+    assert (diag.leaf_retries > 0) == retried
+    assert diag.as_dict()["leaf_retries"] == diag.leaf_retries
 
 
 def test_recursive_final_degree_structure():
