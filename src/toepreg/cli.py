@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from .experiments import (
+    VARIANTS,
     ExperimentConfig,
-    complex_normal,
+    random_problem,
     run_accuracy,
     run_cg_equivalence,
     run_complexity,
@@ -35,8 +36,6 @@ from .toeplitz import (
     vector_from_json,
     vector_to_json,
 )
-
-VARIANTS = ("general", "l2", "gramian")
 
 
 def _parse_sizes(text: str):
@@ -86,30 +85,16 @@ def _hermitian_from_spec(spec: ToeplitzSpec) -> HermitianToeplitzSpec:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(n_lim=args.nlim, pivot_threshold=args.pivot_threshold,
-                        fill=args.fill)
+    return SolverConfig(n_lim=args.nlim, pivot_threshold=args.pivot_threshold)
 
 
 def _random_problem(args) -> ProblemSpec:
     n = args.n
     if n is None:
         raise ValueError("either --input or --n is required")
-    m = args.m or n
-    p = args.p or n
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 17)))
-    if args.variant == "general":
-        t = ToeplitzSpec(m, n, complex_normal(rng, m + n - 1))
-        reg = ToeplitzSpec(p, n, complex_normal(rng, p + n - 1))
-        return ProblemSpec.general(t, reg, complex_normal(rng, m))
-    if args.variant == "l2":
-        t = ToeplitzSpec(m, n, complex_normal(rng, m + n - 1))
-        return ProblemSpec.l2(t, _beta_value(args, n), complex_normal(rng, m))
-    col = np.empty(n, dtype=np.complex128)
-    col[0] = 10.0 * np.sqrt(n)
-    col[1:] = complex_normal(rng, n - 1)
-    reg = ToeplitzSpec(p, n, complex_normal(rng, p + n - 1))
-    return ProblemSpec.gramian(HermitianToeplitzSpec(n, col), reg,
-                               complex_normal(rng, n))
+    beta = _beta_value(args, n) if args.variant == "l2" else None
+    return random_problem(args.variant, n, rng, m=args.m, p=args.p, beta=beta)
 
 
 def _beta_value(args, n: int) -> complex:
@@ -155,7 +140,7 @@ def _experiment_config(args) -> ExperimentConfig:
     variants = VARIANTS if args.variant == "all" else (args.variant,)
     return ExperimentConfig(variants=variants, sizes=args.sizes, trials=args.trials,
                             seed=args.seed, n_lim=args.nlim,
-                            pivot_threshold=args.pivot_threshold, fill=args.fill)
+                            pivot_threshold=args.pivot_threshold)
 
 
 def _maybe_write(args, rows):
@@ -219,7 +204,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--nlim", type=int, default=256,
                      help="serial base-case size for the recursion")
     sub.add_argument("--pivot-threshold", type=float, default=1e-8)
-    sub.add_argument("--fill", choices=("auto", "zero", "echo"), default="auto")
 
 
 def _add_experiment_flags(sub):

@@ -17,6 +17,7 @@ from .solver import (
     CGConfig,
     NormalOperator,
     SolverConfig,
+    apply_normal_operator,
     cg_solve,
     dense_oracle,
     solve_tikhonov,
@@ -24,6 +25,7 @@ from .solver import (
 from .toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 __all__ = [
+    "VARIANTS",
     "ExperimentConfig",
     "ComplexityFit",
     "free_parameters",
@@ -49,11 +51,9 @@ class ExperimentConfig:
     seed: int = 2024
     n_lim: int = 256
     pivot_threshold: float = 1e-8
-    fill: str = "auto"
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(n_lim=self.n_lim, pivot_threshold=self.pivot_threshold,
-                            fill=self.fill)
+        return SolverConfig(n_lim=self.n_lim, pivot_threshold=self.pivot_threshold)
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,28 @@ def _trial_rng(seed: int, driver: str, variant: str, n: int, trial: int):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def random_problem(variant: str, n: int, rng: np.random.Generator) -> ProblemSpec:
-    """Square random instance.  The ridge weight grows as n^(1/4) and the
-    Gramian diagonal as 10 sqrt(n), which keeps conditioning mild across
-    sizes."""
+def random_problem(variant: str, n: int, rng: np.random.Generator,
+                   m: int = None, p: int = None, beta: complex = None) -> ProblemSpec:
+    """Random instance with n unknowns, m data rows and p regularizer rows
+    (both n when not given; the gramian variant has no data rows).  The
+    ridge weight defaults to n^(1/4) and the Gramian diagonal is 10 sqrt(n),
+    which keeps conditioning mild across sizes."""
+    m = n if m is None else m
+    p = n if p is None else p
     if variant == "general":
-        t = ToeplitzSpec(n, n, complex_normal(rng, 2 * n - 1))
-        reg = ToeplitzSpec(n, n, complex_normal(rng, 2 * n - 1))
-        return ProblemSpec.general(t, reg, complex_normal(rng, n))
+        t = ToeplitzSpec(m, n, complex_normal(rng, m + n - 1))
+        reg = ToeplitzSpec(p, n, complex_normal(rng, p + n - 1))
+        return ProblemSpec.general(t, reg, complex_normal(rng, m))
     if variant == "l2":
-        t = ToeplitzSpec(n, n, complex_normal(rng, 2 * n - 1))
-        return ProblemSpec.l2(t, n ** 0.25, complex_normal(rng, n))
+        t = ToeplitzSpec(m, n, complex_normal(rng, m + n - 1))
+        beta = n ** 0.25 if beta is None else beta
+        return ProblemSpec.l2(t, beta, complex_normal(rng, m))
     if variant == "gramian":
         col = np.empty(n, dtype=np.complex128)
         col[0] = 10.0 * np.sqrt(n)
         col[1:] = complex_normal(rng, n - 1)
         g = HermitianToeplitzSpec(n, col)
-        reg = ToeplitzSpec(n, n, complex_normal(rng, 2 * n - 1))
+        reg = ToeplitzSpec(p, n, complex_normal(rng, p + n - 1))
         return ProblemSpec.gramian(g, reg, complex_normal(rng, n))
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -160,7 +165,7 @@ def run_accuracy(config: ExperimentConfig):
                 rng = _trial_rng(config.seed, "accuracy", variant, n, trial)
                 problem = random_problem(variant, n, rng)
                 x_true = complex_normal(rng, n)
-                y = apply_planted(problem, x_true)
+                y = apply_normal_operator(problem, x_true)
                 planted = ProblemSpec(variant=variant, T=problem.T, L=problem.L,
                                       G=problem.G, beta=problem.beta, b=None,
                                       normal_rhs=y)
@@ -168,10 +173,6 @@ def run_accuracy(config: ExperimentConfig):
                 worst = max(worst, float(np.abs(report.x_hat - x_true).max()))
             rows.append({"variant": variant, "n": n, "max_err": worst})
     return rows
-
-
-def apply_planted(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    return NormalOperator(problem).apply(x)
 
 
 def run_cg_equivalence(config: ExperimentConfig):

@@ -28,14 +28,12 @@ __all__ = [
     "opt_extend",
     "opt_extend_detail",
     "extended_generating_sequence",
-    "circulant_spectrum",
     "InterpolationCondition",
     "AssembledSystem",
     "assemble",
     "assemble_general",
     "assemble_l2",
     "assemble_gramian",
-    "conditions_to_dense",
 ]
 
 
@@ -81,13 +79,15 @@ def _fill_for(policy: str, k: int) -> str:
     raise ValueError(f"unknown fill policy {policy!r}")
 
 
-def extended_generating_sequence(spec: ToeplitzSpec, k: int, fill: str) -> np.ndarray:
+def extended_generating_sequence(spec: ToeplitzSpec, k: int,
+                                 fill: str = "auto") -> np.ndarray:
     """Generator of the order rows+cols-1+k circulant containing the block.
 
     The genuine block keeps its bottom-right position; the k new outward
     diagonals are zero or echo the generator cyclically.  Any choice keeps
     the extended system's null space one-dimensional, but echo fill avoids
-    the near-singular extensions a run of zeros can produce.
+    the near-singular extensions a run of zeros can produce.  The solver
+    uses the default ``auto`` policy: zero fill for k <= 1, echo beyond.
     """
     gen = spec.gen
     if k < 0:
@@ -102,33 +102,17 @@ def extended_generating_sequence(spec: ToeplitzSpec, k: int, fill: str) -> np.nd
     return np.concatenate([head, gen])
 
 
-def _aligned_spectrum(spec: ToeplitzSpec, order: int, fill: str = "zero") -> np.ndarray:
+def _aligned_spectrum(spec: ToeplitzSpec, order: int) -> np.ndarray:
     """Extended generator read as polynomial coefficients, on the node grid.
 
     These values carry each block's alignment phase, which is what the
-    interpolation conditions consume; see circulant_spectrum for the
-    phase-free eigenvalues.
+    interpolation conditions consume; they are not the circulant's
+    eigenvalues, which need the main diagonal rotated to the front first.
     """
     k = order - spec.gen.size
     if k < 0:
         raise ValueError("circulant order smaller than the block generator")
-    c = extended_generating_sequence(spec, k, fill)
-    return grid_eval(c, order)
-
-
-def circulant_spectrum(spec: ToeplitzSpec, order: int, fill: str = "zero") -> np.ndarray:
-    """Eigenvalues (in node order) of the circulant extension of the block.
-
-    The extension places the genuine block bottom-right, so the circulant's
-    first column is a cyclic shift of the extended generator putting the main
-    diagonal a_0 first; the eigenvalue at node omega^j is the usual transform
-    of that column.
-    """
-    k = order - spec.gen.size
-    if k < 0:
-        raise ValueError("circulant order smaller than the block generator")
-    c = extended_generating_sequence(spec, k, fill)
-    return np.fft.fft(np.roll(c, -(k + spec.rows - 1)))
+    return grid_eval(extended_generating_sequence(spec, k), order)
 
 
 def _rhs_spectrum(rhs: np.ndarray, order: int) -> np.ndarray:
@@ -187,70 +171,65 @@ class AssembledSystem:
         return self.rows * self.order
 
 
-def _common(problem: ProblemSpec, n_tilde: int, rows: int, n_lim: int,
-            paired: bool, force_even: bool) -> int:
-    k = opt_extend(n_tilde, n_lim, rows=rows, paired=paired, force_even=force_even)
-    return n_tilde + k
+def _extended_order(n_tilde: int, rows: int, n_lim: int) -> int:
+    return n_tilde + opt_extend(n_tilde, n_lim, rows=rows)
 
 
-def assemble_general(problem: ProblemSpec, n_lim: int = 256, fill: str = "auto",
-                     paired: bool = True, force_even: bool = True) -> AssembledSystem:
+def assemble_general(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     T, L = problem.T, problem.L
     n, m, pl = problem.n, problem.m, problem.reg_rows
-    order = _common(problem, max(m, pl) + n, 3, n_lim, paired, force_even)
+    order = _extended_order(max(m, pl) + n, 3, n_lim)
     nodes = unit_roots(order)
     w = np.zeros((3, order, 7), dtype=np.complex128)
     # normal equation: T^H s1 + L^H s2 + fill = T^H b
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order, fill)
-    w[0, :, 2] = _aligned_spectrum(adjoint_spec(L), order, fill)
+    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order)
+    w[0, :, 2] = _aligned_spectrum(adjoint_spec(L), order)
     w[0, :, 3] = 1.0
     w[0, :, 6] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     # coupling s1 = T x
-    w[1, :, 0] = -_aligned_spectrum(T, order, fill)
+    w[1, :, 0] = -_aligned_spectrum(T, order)
     w[1, :, 1] = nodes ** (order - m)
     w[1, :, 4] = 1.0
     # coupling s2 = L x
-    w[2, :, 0] = -_aligned_spectrum(L, order, fill)
+    w[2, :, 0] = -_aligned_spectrum(L, order)
     w[2, :, 2] = nodes ** (order - pl)
     w[2, :, 5] = 1.0
     bounds = [n, m, pl, order - n, order - m, order - pl, 1]
     return AssembledSystem("general", n, order, bounds, w)
 
 
-def assemble_l2(problem: ProblemSpec, n_lim: int = 256, fill: str = "auto",
-                paired: bool = True, force_even: bool = True) -> AssembledSystem:
+def assemble_l2(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     T = problem.T
     n, m = problem.n, problem.m
-    order = _common(problem, m + n, 2, n_lim, paired, force_even)
+    order = _extended_order(m + n, 2, n_lim)
     nodes = unit_roots(order)
     w = np.zeros((2, order, 5), dtype=np.complex128)
     # normal equation with the ridge term kept in factored form
     w[0, :, 0] = problem.beta_sq * nodes ** (order - n)
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order, fill)
+    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order)
     w[0, :, 2] = 1.0
     w[0, :, 4] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     # coupling s1 = T x
-    w[1, :, 0] = -_aligned_spectrum(T, order, fill)
+    w[1, :, 0] = -_aligned_spectrum(T, order)
     w[1, :, 1] = nodes ** (order - m)
     w[1, :, 3] = 1.0
     bounds = [n, m, order - n, order - m, 1]
     return AssembledSystem("l2", n, order, bounds, w)
 
 
-def assemble_gramian(problem: ProblemSpec, n_lim: int = 256, fill: str = "auto",
-                     paired: bool = True, force_even: bool = True) -> AssembledSystem:
+def assemble_gramian(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     G, L = problem.G, problem.L
     n, pl = problem.n, problem.reg_rows
-    order = _common(problem, max(n, pl) + n, 2, n_lim, paired, force_even)
+    order = _extended_order(max(n, pl) + n, 2, n_lim)
     nodes = unit_roots(order)
     w = np.zeros((2, order, 5), dtype=np.complex128)
     # normal equation G x + L^H s = y
-    w[0, :, 0] = _aligned_spectrum(G.as_toeplitz(), order, fill)
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(L), order, fill)
+    w[0, :, 0] = _aligned_spectrum(G.as_toeplitz(), order)
+    w[0, :, 1] = _aligned_spectrum(adjoint_spec(L), order)
     w[0, :, 2] = 1.0
     w[0, :, 4] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     # coupling s = L x
-    w[1, :, 0] = -_aligned_spectrum(L, order, fill)
+    w[1, :, 0] = -_aligned_spectrum(L, order)
     w[1, :, 1] = nodes ** (order - pl)
     w[1, :, 3] = 1.0
     bounds = [n, pl, order - n, order - pl, 1]
@@ -264,26 +243,9 @@ _ASSEMBLERS = {
 }
 
 
-def assemble(problem: ProblemSpec, n_lim: int = 256, fill: str = "auto",
-             paired: bool = True, force_even: bool = True) -> AssembledSystem:
+def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     try:
         fn = _ASSEMBLERS[problem.variant]
     except KeyError:
         raise ValueError(f"unknown variant {problem.variant!r}") from None
-    return fn(problem, n_lim=n_lim, fill=fill, paired=paired, force_even=force_even)
-
-
-def conditions_to_dense(system: AssembledSystem) -> np.ndarray:
-    """Dense conditions matrix, rows in node-major order.  Test helper; the
-    column count sums the degree bounds, so keep the order small."""
-    bounds = system.degree_bounds
-    total = int(bounds.sum())
-    rows = system.rows * system.order
-    a = np.empty((rows, total), dtype=np.complex128)
-    col = 0
-    for j, width in enumerate(bounds):
-        powers = system.nodes[:, None] ** np.arange(width)[None, :]
-        block = system.weights[:, :, j][..., None] * powers[None, :, :]
-        a[:, col:col + width] = block.swapaxes(0, 1).reshape(rows, width)
-        col += width
-    return a
+    return fn(problem, n_lim=n_lim)

@@ -21,23 +21,13 @@ import scipy.fft as _sfft
 _LONGDOUBLE_EXTENDS = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 __all__ = [
-    "NEG_INF",
     "next_fast_len",
     "unit_roots",
     "grid_eval",
-    "poly_degree",
-    "poly_trim",
-    "poly_multiply",
     "poly_eval",
-    "vector_poly_eval",
     "MatrixPoly",
     "matpoly_multiply",
-    "eval_at_roots",
 ]
-
-# Degree of the zero polynomial.  A dedicated sentinel (never -1) keeps the
-# max/sum arithmetic on degrees total.
-NEG_INF = float("-inf")
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,60 +79,11 @@ def grid_eval(coeffs, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndar
     return count * np.fft.ifft(c, n=count, axis=-1)
 
 
-def poly_degree(coeffs, rel_tol: float = 0.0):
-    """Index of the last significant coefficient, or NEG_INF for zero.
-
-    With ``rel_tol`` > 0, coefficients at or below rel_tol times the largest
-    magnitude are treated as zero.
-    """
-    a = np.abs(np.asarray(coeffs))
-    if a.size == 0:
-        return NEG_INF
-    mx = a.max()
-    if mx == 0.0:
-        return NEG_INF
-    sig = np.flatnonzero(a > rel_tol * mx)
-    if sig.size == 0:
-        return NEG_INF
-    return int(sig[-1])
-
-
-def poly_trim(coeffs, rel_tol: float = 0.0) -> np.ndarray:
-    """Drop trailing negligible coefficients (never below length one)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    d = poly_degree(c, rel_tol)
-    if d == NEG_INF:
-        return np.zeros(1, dtype=np.complex128)
-    return c[: int(d) + 1].copy()
-
-
-def poly_multiply(a, b) -> np.ndarray:
-    """Product of two polynomials via an FFT of 7-smooth length."""
-    ca = np.asarray(a, dtype=np.complex128)
-    cb = np.asarray(b, dtype=np.complex128)
-    if ca.ndim != 1 or cb.ndim != 1:
-        raise ValueError("poly_multiply expects one-dimensional coefficient arrays")
-    da, db = poly_degree(ca), poly_degree(cb)
-    if da == NEG_INF or db == NEG_INF:
-        return np.zeros(1, dtype=np.complex128)
-    ca, cb = ca[: int(da) + 1], cb[: int(db) + 1]
-    out = ca.size + cb.size - 1
-    if min(ca.size, cb.size) <= 16:
-        return np.convolve(ca, cb)
-    r = next_fast_len(out)
-    return np.fft.ifft(np.fft.fft(ca, r) * np.fft.fft(cb, r))[:out]
-
-
 def poly_eval(coeffs, z: complex):
     """Evaluate at a single point; broadcasts over leading axes."""
     c = np.asarray(coeffs, dtype=np.complex128)
     powers = np.asarray(z, dtype=np.complex128) ** np.arange(c.shape[-1])
     return c @ powers
-
-
-def vector_poly_eval(q, sigma: complex) -> np.ndarray:
-    """Value of a vector polynomial (p, L) at one node: a dense p-vector."""
-    return poly_eval(q, sigma)
 
 
 def _trim_tail(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -167,12 +108,6 @@ class MatrixPoly:
             raise ValueError("expected a (p, p, length) coefficient array")
         self.coeffs = c
 
-    @classmethod
-    def identity(cls, p: int) -> "MatrixPoly":
-        c = np.zeros((p, p, 1), dtype=np.complex128)
-        c[:, :, 0] = np.eye(p)
-        return cls(c)
-
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
@@ -184,29 +119,9 @@ class MatrixPoly:
     def column(self, j: int) -> np.ndarray:
         return self.coeffs[:, j, :]
 
-    def __call__(self, z: complex) -> np.ndarray:
-        return poly_eval(self.coeffs, z)
-
     def eval_grid(self, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndarray:
         """Values on a node coset with the node axis first: (count, p, p)."""
         return np.moveaxis(grid_eval(self.coeffs, n_nodes, offset, stride), -1, 0)
-
-    def __matmul__(self, other) -> "MatrixPoly":
-        return matpoly_multiply(self, other)
-
-    def entry_degrees(self, rel_tol: float = 1e-12) -> np.ndarray:
-        """Numerical degree of each entry as a float matrix (NEG_INF for zero)."""
-        a = np.abs(self.coeffs)
-        mx = a.max()
-        sig = a > rel_tol * (mx if mx > 0.0 else 1.0)
-        has = sig.any(axis=-1)
-        last = self.length - 1 - np.argmax(sig[:, :, ::-1], axis=-1)
-        return np.where(has, last.astype(float), NEG_INF)
-
-    def column_tau_degrees(self, tau, rel_tol: float = 1e-12) -> np.ndarray:
-        """Shifted degree of each column: max_i (deg entry(i, j) - tau_i)."""
-        degs = self.entry_degrees(rel_tol)
-        return (degs - np.asarray(tau, dtype=float)[:, None]).max(axis=0)
 
     def trimmed(self, rel_tol: float = 1e-14) -> "MatrixPoly":
         return MatrixPoly(_trim_tail(self.coeffs, rel_tol).copy())
@@ -248,8 +163,3 @@ def matpoly_multiply(a, b, extended: bool = False):
         return MatrixPoly(out)
     return out
 
-
-def eval_at_roots(p, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndarray:
-    """Dense values of a matrix polynomial on a root coset, node axis first."""
-    c = p.coeffs if isinstance(p, MatrixPoly) else np.asarray(p, dtype=np.complex128)
-    return np.moveaxis(grid_eval(c, n_nodes, offset, stride), -1, 0)

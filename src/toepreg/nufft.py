@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import CGConfig, NormalOperator, SolverConfig, cg_solve, solve_tikhonov
+from .solver import (
+    CGConfig,
+    NormalOperator,
+    SolverConfig,
+    cg_solve,
+    dense_normal_matrix,
+    solve_tikhonov,
+)
 from .toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 __all__ = [
@@ -124,7 +131,6 @@ def run_nufft(config: NufftConfig = None) -> dict:
 
     scale = float(np.linalg.norm(x_true))
     rhs_norm = float(np.linalg.norm(rhs))
-    op_check = NormalOperator(problem)
     out = {
         "n": cfg.n,
         "samples": cfg.samples,
@@ -137,9 +143,9 @@ def run_nufft(config: NufftConfig = None) -> dict:
         "rel_err_direct": float(np.linalg.norm(report.x_hat - x_true)) / scale,
         "rel_err_cg": float(np.linalg.norm(x_cg - x_true)) / scale,
         "rel_residual_direct": float(
-            np.linalg.norm(op_check.apply(report.x_hat) - rhs)) / rhs_norm,
+            np.linalg.norm(op.apply(report.x_hat) - rhs)) / rhs_norm,
         "rel_residual_cg": float(
-            np.linalg.norm(op_check.apply(x_cg) - rhs)) / rhs_norm,
+            np.linalg.norm(op.apply(x_cg) - rhs)) / rhs_norm,
         "difficult_points": report.diagnostics.difficult_points,
         "x_direct_re": report.x_hat.real.tolist(),
         "x_direct_im": report.x_hat.imag.tolist(),
@@ -147,9 +153,6 @@ def run_nufft(config: NufftConfig = None) -> dict:
         "x_cg_im": x_cg.imag.tolist(),
     }
     if cfg.compute_condition:
-        from .toeplitz import materialize
-        dense = materialize(gram.as_toeplitz()) + (
-            materialize(reg).conj().T @ materialize(reg))
-        eig = np.linalg.eigvalsh(dense)
+        eig = np.linalg.eigvalsh(dense_normal_matrix(problem))
         out["condition"] = float(eig[-1] / eig[0])
     return out

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .extension import assemble
-from .fftpoly import next_fast_len
+from .fftpoly import MatrixPoly, next_fast_len
 from .tanint import TanIntDiagnostics, TauState, extract_solution, rec_tan_int
 from .toeplitz import (
     ProblemSpec,
@@ -28,6 +28,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "solve_tikhonov",
+    "dense_normal_matrix",
     "dense_oracle",
     "NormalOperator",
     "apply_normal_operator",
@@ -40,9 +41,6 @@ __all__ = [
 class SolverConfig:
     n_lim: int = 256
     pivot_threshold: float = 1e-8
-    fill: str = "auto"
-    paired: bool = True
-    force_even: bool = True
 
 
 @dataclass
@@ -53,6 +51,8 @@ class SolveReport:
     relative_residual: float
     diagnostics: TanIntDiagnostics
     final_col_degrees: np.ndarray
+    # The interpolation basis x_hat was read from, for independent checks.
+    basis: MatrixPoly
 
 
 def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveReport:
@@ -60,13 +60,11 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
     residual verification that follows it."""
     cfg = config or SolverConfig()
     start = time.perf_counter()
-    system = assemble(problem, n_lim=cfg.n_lim, fill=cfg.fill,
-                      paired=cfg.paired, force_even=cfg.force_even)
+    system = assemble(problem, n_lim=cfg.n_lim)
     state = TauState.from_tau(system.tau)
     diag = TanIntDiagnostics()
     basis, _ = rec_tan_int(system, state, n_lim=cfg.n_lim,
-                           pivot_threshold=cfg.pivot_threshold,
-                           paired=cfg.paired, diagnostics=diag)
+                           pivot_threshold=cfg.pivot_threshold, diagnostics=diag)
     x = extract_solution(basis, state, problem.n)
     wall = time.perf_counter() - start
     rhs = problem.normal_rhs_vector()
@@ -75,29 +73,33 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
     rel /= denom if denom > 0.0 else 1.0
     return SolveReport(x_hat=x, variant=problem.variant, wall_time=wall,
                        relative_residual=rel, diagnostics=diag,
-                       final_col_degrees=state.col_degrees.copy())
+                       final_col_degrees=state.col_degrees.copy(), basis=basis)
+
+
+def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:
+    """The regularized normal matrix assembled from materialized blocks."""
+    if problem.variant == "general":
+        td = materialize(problem.T)
+        ld = materialize(problem.L)
+        return td.conj().T @ td + ld.conj().T @ ld
+    if problem.variant == "l2":
+        td = materialize(problem.T)
+        return td.conj().T @ td + problem.beta_sq * np.eye(problem.n)
+    if problem.variant == "gramian":
+        ld = materialize(problem.L)
+        return materialize(problem.G.as_toeplitz()) + ld.conj().T @ ld
+    raise ValueError(f"unknown variant {problem.variant!r}")
 
 
 def dense_oracle(problem: ProblemSpec, max_n: int = 2048) -> np.ndarray:
     """Materialized reference solution, independent of every fast path."""
-    n = problem.n
-    if n > max_n:
+    if problem.n > max_n:
         raise ValueError(f"oracle limited to n <= {max_n}")
-    if problem.variant == "general":
-        td = materialize(problem.T)
-        ld = materialize(problem.L)
-        a = td.conj().T @ td + ld.conj().T @ ld
-        rhs = td.conj().T @ problem.b
-    elif problem.variant == "l2":
-        td = materialize(problem.T)
-        a = td.conj().T @ td + problem.beta_sq * np.eye(n)
-        rhs = td.conj().T @ problem.b
-    elif problem.variant == "gramian":
-        a = materialize(problem.G.as_toeplitz()) + (
-            materialize(problem.L).conj().T @ materialize(problem.L))
+    a = dense_normal_matrix(problem)
+    if problem.variant == "gramian":
         rhs = problem.normal_rhs_vector()
     else:
-        raise ValueError(f"unknown variant {problem.variant!r}")
+        rhs = materialize(problem.T).conj().T @ problem.b
     return np.linalg.solve(a, rhs)
 
 

@@ -27,17 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import AssembledSystem, InterpolationCondition
-from .fftpoly import NEG_INF, MatrixPoly, grid_eval, matpoly_multiply, poly_eval
+from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply
 
 __all__ = [
     "SingularSystemError",
     "TauState",
     "DifficultPoint",
     "TanIntDiagnostics",
-    "tau_degree",
-    "residual",
     "basis_residuals",
-    "single_point_basis",
     "serial_tan_int",
     "rec_tan_int",
     "extract_solution",
@@ -95,53 +92,10 @@ class TanIntDiagnostics:
         }
 
 
-def tau_degree(q, tau, rel_tol: float = 1e-12):
-    """Shifted degree max_i(deg q_i - tau_i) of a vector polynomial (p, L)."""
-    a = np.abs(np.asarray(q))
-    mx = a.max()
-    if mx == 0.0:
-        return NEG_INF
-    sig = a > rel_tol * mx
-    has = sig.any(axis=-1)
-    last = a.shape[-1] - 1 - np.argmax(sig[:, ::-1], axis=-1)
-    shifted = last - np.asarray(tau)
-    vals = shifted[has]
-    return NEG_INF if vals.size == 0 else float(vals.max())
-
-
-def residual(q, conditions) -> float:
-    """Worst |w . q(node)| of a vector polynomial over explicit conditions."""
-    return max(abs(c.weights @ poly_eval(q, c.node)) for c in conditions)
-
-
 def basis_residuals(system: AssembledSystem, basis: MatrixPoly) -> np.ndarray:
     """All condition values against all basis columns, shape (rows, N, p)."""
     vals = basis.eval_grid(system.order)
     return np.einsum("rki,kij->rkj", system.weights, vals)
-
-
-def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8):
-    """Elementary factor killing one condition against the identity basis.
-
-    Returns (factor, pivot).  The factor is the identity except in the pivot
-    row: (z - node) on the diagonal and -w_i / w_pivot elsewhere, so every
-    column evaluates to a w-annihilated vector at the node.  Does not touch
-    col_degrees; the pivot column's entry is the one to raise.
-    """
-    w = np.asarray(weights, dtype=np.complex128)
-    p = w.size
-    amax = np.abs(w).max()
-    cd = np.asarray(col_degrees)
-    cands = np.flatnonzero(cd == cd.min())
-    j = int(cands[np.argmax(np.abs(w[cands]))])
-    if amax == 0.0 or abs(w[j]) < pivot_threshold * amax:
-        raise SingularSystemError("no admissible pivot for the condition")
-    coeffs = np.zeros((p, p, 2), dtype=np.complex128)
-    coeffs[:, :, 0] = np.eye(p)
-    coeffs[j, :, 0] = -w / w[j]
-    coeffs[j, j, 0] = -node
-    coeffs[j, j, 1] = 1.0
-    return MatrixPoly(coeffs), j
 
 
 class _Workspace:
@@ -240,7 +194,7 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                 diag.max_column_scale = max(diag.max_column_scale, factor)
 
 
-def _stride_order(count: int) -> np.ndarray:
+def _stride_order(count: int, bump: int = 0) -> np.ndarray:
     """Low-discrepancy ordering of range(count): i -> i*s mod count with a
     coprime stride s near the golden fraction of count.
 
@@ -252,10 +206,13 @@ def _stride_order(count: int) -> np.ndarray:
     weight rows that nearly repeat on a subgrid (constant-modulus alignment
     spectra take few values on cosets) never arrive in long same-class runs
     while the basis is still too low-degree to tell them apart.
+
+    A ``bump`` starts the coprime search that far past the golden stride;
+    leaf retries use it for nearby alternative orders.
     """
     if count <= 2:
         return np.arange(count)
-    s = int(round(0.6180339887498949 * count))
+    s = int(round(0.6180339887498949 * count)) + bump
     while math.gcd(s, count) != 1:
         s += 1
     return (np.arange(count) * s) % count
@@ -273,12 +230,8 @@ def _leaf_orders(count: int):
     yield _stride_order(count)
     if count <= 2:
         return
-    s = int(round(0.6180339887498949 * count))
     for bump in (2, 5):
-        t = s + bump
-        while math.gcd(t, count) != 1:
-            t += 1
-        yield (np.arange(count) * t) % count
+        yield _stride_order(count, bump)
     yield _stride_order(count)[::-1]
 
 
@@ -293,15 +246,14 @@ def _self_residual(coeffs, nodes, w_in, scale: float) -> float:
     return float(np.abs(res).max() / scale)
 
 
-def _flatten_system(system: AssembledSystem, idx):
-    """Node-major flattening of the conditions at the given node indices,
-    nodes taken in stride order."""
-    idx = np.asarray(idx)[_stride_order(len(idx))]
-    rows = system.rows
-    sub = system.weights[:, idx, :].swapaxes(0, 1).reshape(len(idx) * rows, -1)
-    nodes = np.repeat(system.nodes[idx], rows)
-    refs = [(int(k), r) for k in idx for r in range(rows)]
-    return nodes, sub, refs
+def _flatten(weights, nodes, order):
+    """Node-major flattening of the conditions at the node indices ``order``,
+    taken in that order: (nodes, weights, (index, row) refs), one per
+    condition."""
+    rows = weights.shape[0]
+    sub = weights[:, order, :].swapaxes(0, 1).reshape(len(order) * rows, -1)
+    refs = [(int(k), r) for k in order for r in range(rows)]
+    return np.repeat(nodes[order], rows), sub, refs
 
 
 def serial_tan_int(source, tau_state: TauState = None,
@@ -315,7 +267,8 @@ def serial_tan_int(source, tau_state: TauState = None,
     if isinstance(source, AssembledSystem):
         if tau_state is None:
             tau_state = TauState.from_tau(source.tau)
-        nodes, weights, refs = _flatten_system(source, np.arange(source.order))
+        nodes, weights, refs = _flatten(source.weights, source.nodes,
+                                        _stride_order(source.order))
     else:
         conds = list(source)
         if tau_state is None:
@@ -341,7 +294,7 @@ class _Engine:
     deferred conditions.
     """
 
-    def __init__(self, system, tau_state, n_lim, pivot_threshold, paired, diag):
+    def __init__(self, system, tau_state, n_lim, pivot_threshold, diag):
         self.system = system
         self.order = system.order
         self.rows = system.rows
@@ -351,7 +304,6 @@ class _Engine:
         self.col_degrees = tau_state.col_degrees
         self.n_lim = n_lim
         self.pivot_threshold = pivot_threshold
-        self.paired = paired
         self.diag = diag
         self.deferred = []
 
@@ -378,7 +330,7 @@ class _Engine:
         n = self.order
         if len(offsets) == 1:
             o = offsets[0]
-            if self.paired and n % (4 * stride) == 0:
+            if n % (4 * stride) == 0:
                 return (o, o + stride), (o + 2 * stride, o + 3 * stride), 4 * stride
             if n % (2 * stride) == 0:
                 return (o,), (o + stride,), 2 * stride
@@ -427,16 +379,11 @@ class _Engine:
         in every attempt; only the condition order changes.
         """
         idx = self._indices(offsets, stride)
-        rows = self.rows
         w_in = self.weights[:, idx, :]
         scale = float(np.abs(w_in).max())
         best = None
         for attempt, perm in enumerate(_leaf_orders(len(idx))):
-            order = idx[perm]
-            sub = self.weights[:, order, :].swapaxes(0, 1).reshape(
-                len(order) * rows, -1)
-            nodes = np.repeat(self.nodes[order], rows)
-            refs = [(int(k), r) for k in order for r in range(rows)]
+            nodes, sub, refs = _flatten(self.weights, self.nodes, idx[perm])
             ws = _Workspace(self.weights.shape[2], len(nodes) + 1)
             cd = self.col_degrees.copy()
             deferred = []
@@ -480,13 +427,13 @@ class _Engine:
 
 def rec_tan_int(system: AssembledSystem, tau_state: TauState = None,
                 n_lim: int = 256, pivot_threshold: float = 1e-8,
-                paired: bool = True, diagnostics: TanIntDiagnostics = None):
+                diagnostics: TanIntDiagnostics = None):
     """Fast driver.  Returns (basis, difficult points encountered)."""
     if tau_state is None:
         tau_state = TauState.from_tau(system.tau)
     if diagnostics is None:
         diagnostics = TanIntDiagnostics()
-    engine = _Engine(system, tau_state, n_lim, pivot_threshold, paired, diagnostics)
+    engine = _Engine(system, tau_state, n_lim, pivot_threshold, diagnostics)
     basis = engine.run()
     return basis, engine.deferred
 

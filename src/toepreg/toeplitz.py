@@ -19,19 +19,22 @@ from .fftpoly import next_fast_len
 __all__ = [
     "ToeplitzSpec",
     "HermitianToeplitzSpec",
-    "identity_spec",
     "materialize",
     "embedded_first_column",
     "toeplitz_matvec",
     "adjoint_spec",
     "toeplitz_adjoint_matvec",
-    "gramian_generating_sequence",
     "ProblemSpec",
     "spec_to_json",
     "spec_from_json",
     "vector_to_json",
     "vector_from_json",
 ]
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite (no NaN or Inf)")
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class ToeplitzSpec:
                 f"generator must have length rows + cols - 1 = "
                 f"{self.rows + self.cols - 1}, got {g.size}"
             )
+        _check_finite("generator", g)
         g.setflags(write=False)
         object.__setattr__(self, "gen", g)
 
@@ -60,13 +64,6 @@ class ToeplitzSpec:
 
     def entry(self, i: int, j: int) -> complex:
         return self.gen[i - j + self.cols - 1]
-
-
-def identity_spec(n: int, scale: complex = 1.0) -> ToeplitzSpec:
-    """The n x n matrix scale * I in generator form."""
-    g = np.zeros(2 * n - 1, dtype=np.complex128)
-    g[n - 1] = scale
-    return ToeplitzSpec(n, n, g)
 
 
 def materialize(spec: ToeplitzSpec) -> np.ndarray:
@@ -122,6 +119,7 @@ class HermitianToeplitzSpec:
         g = np.ascontiguousarray(self.gen, dtype=np.complex128)
         if g.ndim != 1 or g.size != self.order:
             raise ValueError("first column must have length equal to the order")
+        _check_finite("first column", g)
         scale = max(np.abs(g).max(), 1.0)
         if abs(g[0].imag) > 1e-12 * scale:
             raise ValueError("diagonal entry of a Hermitian matrix must be real")
@@ -137,31 +135,6 @@ class HermitianToeplitzSpec:
 
     def as_toeplitz(self) -> ToeplitzSpec:
         return ToeplitzSpec(self.order, self.order, self.full_gen)
-
-
-def gramian_generating_sequence(t, weights=None, as_spec: bool = False, tol: float = 1e-10):
-    """First column of T^H W T (W diagonal, default identity), which is
-    Hermitian Toeplitz only up to roundoff in general; the column is read
-    from the dense product.  With ``as_spec`` a validated spec is returned.
-    """
-    if isinstance(t, ToeplitzSpec):
-        dense = materialize(t)
-    else:
-        dense = np.asarray(t, dtype=np.complex128)
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        g = dense.conj().T @ (w[:, None] * dense)
-    else:
-        g = dense.conj().T @ dense
-    col = g[:, 0].copy()
-    col[0] = col[0].real
-    if as_spec:
-        spec = HermitianToeplitzSpec(dense.shape[1], col)
-        full = materialize(spec.as_toeplitz())
-        if np.abs(full - g).max() > tol * max(np.abs(g).max(), 1.0):
-            raise ValueError("product is not Toeplitz to within tolerance")
-        return spec
-    return col
 
 
 @dataclass(frozen=True)
@@ -180,6 +153,12 @@ class ProblemSpec:
     beta: Optional[complex] = None
     b: Optional[np.ndarray] = None
     normal_rhs: Optional[np.ndarray] = field(default=None)
+
+    def __post_init__(self):
+        for name in ("beta", "b", "normal_rhs"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_finite(name, value)
 
     @classmethod
     def general(cls, T: ToeplitzSpec, L: ToeplitzSpec, b) -> "ProblemSpec":
@@ -242,12 +221,44 @@ def spec_to_json(spec: ToeplitzSpec) -> dict:
     }
 
 
-def spec_from_json(obj) -> ToeplitzSpec:
+def _json_object(obj) -> dict:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    re = np.asarray(obj["gen_re"], dtype=np.float64)
-    im = np.asarray(obj.get("gen_im", np.zeros_like(re)), dtype=np.float64)
-    return ToeplitzSpec(int(obj["rows"]), int(obj["cols"]), re + 1j * im)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _json_field(obj: dict, key: str, convert, default=None):
+    """convert(obj[key]), or the default when the key is absent.  A missing
+    required key or a value of the wrong type raises a ValueError naming
+    the key."""
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"JSON object lacks the key {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"JSON key {key!r} has the wrong type") from None
+
+
+def _complex_from_json(obj: dict, re_key: str, im_key: str) -> np.ndarray:
+    """Real part from re_key, imaginary part (zero if absent) from im_key."""
+    def real(value):
+        return np.asarray(value, dtype=np.float64)
+
+    re = _json_field(obj, re_key, real)
+    im = _json_field(obj, im_key, real, np.zeros_like(re))
+    if im.shape != re.shape:
+        raise ValueError(f"JSON key {im_key!r} must match {re_key!r} in shape")
+    return re + 1j * im
+
+
+def spec_from_json(obj) -> ToeplitzSpec:
+    obj = _json_object(obj)
+    gen = _complex_from_json(obj, "gen_re", "gen_im")
+    return ToeplitzSpec(_json_field(obj, "rows", int), _json_field(obj, "cols", int), gen)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
@@ -256,8 +267,4 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
-    return re + 1j * im
+    return _complex_from_json(_json_object(obj), "re", "im")

@@ -14,9 +14,9 @@ import pytest
 
 from helpers import rel_err
 from toepreg.experiments import (
+    VARIANTS,
     ExperimentConfig,
     _trial_rng,
-    apply_planted,
     complex_normal,
     fit_complexity,
     random_problem,
@@ -25,7 +25,7 @@ from toepreg.experiments import (
 )
 from toepreg.extension import assemble, opt_extend_detail
 from toepreg.nufft import NufftConfig, run_nufft
-from toepreg.solver import dense_oracle, solve_tikhonov
+from toepreg.solver import apply_normal_operator, dense_oracle, solve_tikhonov
 from toepreg.tanint import (
     TauState,
     basis_residuals,
@@ -34,8 +34,6 @@ from toepreg.tanint import (
     serial_tan_int,
 )
 from toepreg.toeplitz import ProblemSpec
-
-VARIANTS = ("general", "l2", "gramian")
 
 
 def _solve_record(problem, reference, entrywise: bool):
@@ -48,9 +46,7 @@ def _solve_record(problem, reference, entrywise: bool):
     else:
         err = rel_err(report.x_hat, reference)
     system = assemble(problem)
-    state = TauState.from_tau(system.tau)
-    basis, _ = rec_tan_int(system, state)
-    res = float(np.abs(basis_residuals(system, basis)).max())
+    res = float(np.abs(basis_residuals(system, report.basis)).max())
     res /= float(np.abs(system.weights).max())
     return {
         "variant": problem.variant,
@@ -94,7 +90,7 @@ def planted_corpus():
             rng = _trial_rng(2024, "accuracy", variant, 512, trial)
             problem = random_problem(variant, 512, rng)
             x_true = complex_normal(rng, 512)
-            y = apply_planted(problem, x_true)
+            y = apply_normal_operator(problem, x_true)
             planted = ProblemSpec(variant=variant, T=problem.T, L=problem.L,
                                   G=problem.G, beta=problem.beta, b=None,
                                   normal_rhs=y)

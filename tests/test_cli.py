@@ -125,6 +125,39 @@ def test_missing_input_files_exit_two(tmp_path):
                  "--b", str(tmp_path / "nope.json")]) == 2
 
 
+GOOD_T = {"rows": 2, "cols": 2, "gen_re": [0.0, 1.0, 0.0]}
+GOOD_B = {"re": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("t_doc, b_doc, named", [
+    ({"rows": 4}, GOOD_B, "'gen_re'"),
+    ({"rows": 2, "cols": 2, "gen_re": "abc"}, GOOD_B, "'gen_re'"),
+    ({"rows": 2, "gen_re": [0.0, 1.0, 0.0]}, GOOD_B, "'cols'"),
+    ({**GOOD_T, "rows": [2]}, GOOD_B, "'rows'"),
+    ({**GOOD_T, "gen_im": [1.0]}, GOOD_B, "'gen_im'"),
+    ([0.0, 1.0, 0.0], GOOD_B, "JSON object"),
+    (GOOD_T, {"im": [1.0, 2.0]}, "'re'"),
+])
+def test_malformed_json_exits_two(tmp_path, capsys, t_doc, b_doc, named):
+    code = main(["solve", "--variant", "l2",
+                 "--input", write_json(tmp_path / "T.json", t_doc),
+                 "--b", write_json(tmp_path / "b.json", b_doc)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--beta-sq", "nan"), ("--beta", "inf")])
+def test_non_finite_ridge_weight_exits_two(capsys, flag, value):
+    assert main(["solve", "--variant", "l2", "--n", "8", flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--m", "--p"])
+def test_zero_block_rows_exit_two(capsys, flag):
+    assert main(["solve", "--variant", "general", "--n", "8", flag, "0"]) == 2
+    assert "dimensions must be positive" in capsys.readouterr().err
+
+
 def test_singular_system_exits_three(tmp_path, capsys):
     n = 4
     zeros = {"rows": n, "cols": n, "gen_re": [0.0] * (2 * n - 1)}

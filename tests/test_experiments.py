@@ -57,6 +57,19 @@ def test_random_problem_families():
         random_problem("banded", 32, rng)
 
 
+def test_random_problem_block_shapes():
+    rng = np.random.default_rng(43)
+    general = random_problem("general", 16, rng, m=4, p=1)
+    assert general.T.shape == (4, 16) and general.L.shape == (1, 16)
+    assert general.b.shape == (4,)
+    assert random_problem("l2", 16, rng, beta=0.5).beta == 0.5
+    assert random_problem("gramian", 16, rng, p=3).L.shape == (3, 16)
+    # explicit square shapes draw the same stream as the defaults
+    a = random_problem("general", 16, np.random.default_rng(44))
+    b = random_problem("general", 16, np.random.default_rng(44), m=16, p=16)
+    assert np.array_equal(a.T.gen, b.T.gen) and np.array_equal(a.b, b.b)
+
+
 def test_fit_recovers_exact_model():
     sizes = np.array([256.0, 512.0, 1024.0, 2048.0])
     times = 3.0 * sizes * np.log(sizes) ** 2 + 2.0 * sizes * np.log(sizes)

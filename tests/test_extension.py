@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from helpers import dense_tikhonov, null_space_solution, random_spec, rel_err
+from helpers import (
+    circulant_spectrum,
+    dense_tikhonov,
+    identity_spec,
+    null_space_solution,
+    random_spec,
+    rel_err,
+)
 from toepreg.extension import (
     assemble,
     assemble_general,
     assemble_gramian,
     assemble_l2,
-    circulant_spectrum,
     extended_generating_sequence,
     opt_extend,
     opt_extend_detail,
 )
-from toepreg.toeplitz import (
-    HermitianToeplitzSpec,
-    ProblemSpec,
-    ToeplitzSpec,
-    identity_spec,
-    materialize,
-)
+from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
 
 
 def identity_gramian(n: int) -> HermitianToeplitzSpec:

@@ -2,21 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from helpers import column_tau_degrees, identity_poly
 from toepreg.fftpoly import (
-    NEG_INF,
     MatrixPoly,
-    eval_at_roots,
     grid_eval,
     matpoly_multiply,
     next_fast_len,
-    poly_degree,
     poly_eval,
-    poly_multiply,
-    poly_trim,
     unit_roots,
-    vector_poly_eval,
 )
 
 
@@ -53,57 +47,6 @@ def test_next_fast_len_is_seven_smooth():
         assert r == 1
 
 
-def test_poly_multiply_difference_of_squares():
-    out = poly_multiply([1.0, 1.0], [1.0, -1.0])
-    assert np.allclose(out, [1.0, 0.0, -1.0], atol=1e-15)
-
-
-def test_poly_multiply_by_zero():
-    out = poly_multiply([1.0, 2.0, 3.0], [0.0, 0.0])
-    assert np.array_equal(out, np.zeros(1))
-
-
-def test_poly_multiply_matches_convolution():
-    rng = np.random.default_rng(21)
-    a, b = crandn(rng, 101), crandn(rng, 101)
-    ref = np.convolve(a, b)
-    out = poly_multiply(a, b)
-    assert np.abs(out - ref).max() / np.abs(ref).max() < 1e-12
-
-
-def test_poly_multiply_degree_adds():
-    rng = np.random.default_rng(22)
-    a, b = crandn(rng, 8), crandn(rng, 13)
-    assert poly_degree(poly_multiply(a, b), rel_tol=1e-12) == 19
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), da=st.integers(0, 40),
-       db=st.integers(0, 40), dc=st.integers(0, 40))
-def test_poly_ring_axioms(seed, da, db, dc):
-    rng = np.random.default_rng(seed)
-    a, b, c = crandn(rng, da + 1), crandn(rng, db + 1), crandn(rng, dc + 1)
-    ab = poly_multiply(a, b)
-    scale = max(np.abs(ab).max(), 1.0)
-    assert np.abs(ab - poly_multiply(b, a)).max() < 1e-11 * scale
-    left = poly_multiply(ab, c)
-    right = poly_multiply(a, poly_multiply(b, c))
-    assert np.abs(left - right).max() < 1e-11 * max(np.abs(left).max(), 1.0)
-
-
-def test_poly_degree_sentinel():
-    assert poly_degree(np.zeros(4)) is NEG_INF
-    assert poly_degree([]) is NEG_INF
-    assert poly_degree([0.0, 1.0, 0.0]) == 1
-    # the sentinel compares below every finite degree
-    assert NEG_INF < -(10**9)
-
-
-def test_poly_trim():
-    assert np.array_equal(poly_trim([1.0, 2.0, 0.0, 0.0]), [1.0, 2.0])
-    assert np.array_equal(poly_trim(np.zeros(5)), np.zeros(1))
-
-
 def test_poly_eval_horner_equivalent():
     rng = np.random.default_rng(23)
     c = crandn(rng, 9)
@@ -114,12 +57,12 @@ def test_poly_eval_horner_equivalent():
 def test_vector_poly_eval_mixed():
     # [z, 1 - z] at 1
     q = np.array([[0.0, 1.0], [1.0, -1.0]])
-    assert np.allclose(vector_poly_eval(q, 1.0), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(poly_eval(q, 1.0), [1.0, 0.0], atol=1e-15)
 
 
 def test_vector_poly_eval_constant():
     q = np.arange(1.0, 6.0)[:, None]
-    assert np.allclose(vector_poly_eval(q, 0.7 + 0.2j), np.arange(1.0, 6.0))
+    assert np.allclose(poly_eval(q, 0.7 + 0.2j), np.arange(1.0, 6.0))
 
 
 def test_vector_poly_eval_matches_monomial_sum():
@@ -127,7 +70,7 @@ def test_vector_poly_eval_matches_monomial_sum():
     q = crandn(rng, 5, 7)
     sigma = np.exp(2j * np.pi * 0.137)
     ref = sum(q[:, d] * sigma**d for d in range(7))
-    assert np.abs(vector_poly_eval(q, sigma) - ref).max() < 1e-13
+    assert np.abs(poly_eval(q, sigma) - ref).max() < 1e-13
 
 
 def test_grid_eval_monomial_gives_roots():
@@ -159,7 +102,7 @@ def test_grid_eval_rejects_bad_stride():
 def test_matrix_poly_identity_product():
     rng = np.random.default_rng(26)
     b = MatrixPoly(crandn(rng, 7, 7, 9))
-    out = matpoly_multiply(MatrixPoly.identity(7), b)
+    out = matpoly_multiply(identity_poly(7), b)
     assert np.abs(out.coeffs[:, :, :9] - b.coeffs).max() < 1e-13
 
 
@@ -193,14 +136,13 @@ def test_eval_product_homomorphism():
     rng = np.random.default_rng(30)
     a = MatrixPoly(crandn(rng, 5, 5, 6))
     b = MatrixPoly(crandn(rng, 5, 5, 7))
-    prod_vals = eval_at_roots(matpoly_multiply(a, b), 16)
-    pointwise = np.einsum("kij,kjl->kil", eval_at_roots(a, 16),
-                          eval_at_roots(b, 16))
+    prod_vals = matpoly_multiply(a, b).eval_grid(16)
+    pointwise = np.einsum("kij,kjl->kil", a.eval_grid(16), b.eval_grid(16))
     assert np.abs(prod_vals - pointwise).max() / np.abs(pointwise).max() < 1e-10
 
 
 def test_eval_at_roots_identity():
-    vals = eval_at_roots(MatrixPoly.identity(3), 5)
+    vals = identity_poly(3).eval_grid(5)
     for v in vals:
         assert np.allclose(v, np.eye(3), atol=1e-14)
 
@@ -208,10 +150,10 @@ def test_eval_at_roots_identity():
 def test_eval_at_roots_matches_direct_eval():
     rng = np.random.default_rng(31)
     p = MatrixPoly(crandn(rng, 4, 4, 16))
-    vals = eval_at_roots(p, 32, offset=1, stride=2)
+    vals = p.eval_grid(32, offset=1, stride=2)
     nodes = unit_roots(32)[1::2]
     for v, z in zip(vals, nodes):
-        assert np.abs(v - p(z)).max() < 1e-12
+        assert np.abs(v - poly_eval(p.coeffs, z)).max() < 1e-12
 
 
 def test_transform_round_trip():
@@ -235,6 +177,6 @@ def test_column_tau_degrees():
     c = np.zeros((2, 2, 3), dtype=np.complex128)
     c[0, 0, 2] = 1.0   # entry degree 2
     c[1, 1, 0] = 1.0   # entry degree 0
-    degs = MatrixPoly(c).column_tau_degrees([1, 3])
+    degs = column_tau_degrees(MatrixPoly(c), [1, 3])
     assert degs[0] == 1.0
     assert degs[1] == -3.0

@@ -4,22 +4,19 @@ normal operator, and conjugate gradients."""
 import numpy as np
 import pytest
 
-from helpers import dense_normal_matrix, dense_tikhonov, random_spec, rel_err
+from helpers import dense_tikhonov, identity_spec, random_spec, rel_err
 from toepreg.solver import (
     CGConfig,
     NormalOperator,
     SolverConfig,
     apply_normal_operator,
     cg_solve,
+    dense_normal_matrix,
     dense_oracle,
     solve_tikhonov,
 )
-from toepreg.toeplitz import (
-    HermitianToeplitzSpec,
-    ProblemSpec,
-    ToeplitzSpec,
-    identity_spec,
-)
+from toepreg.tanint import TauState, extract_solution
+from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 
 def identity_gramian(n: int) -> HermitianToeplitzSpec:
@@ -105,6 +102,10 @@ def test_report_fields():
     # One solution column, everything else pushed one degree past its bound.
     degrees = sorted(report.final_col_degrees.tolist())
     assert degrees == [0] + [1] * (len(degrees) - 1)
+    # The reported basis is the one the solution was read from.
+    state = TauState(tau=None, col_degrees=report.final_col_degrees)
+    assert np.array_equal(extract_solution(report.basis, state, problem.n),
+                          report.x_hat)
 
 
 def test_solve_is_deterministic():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_spec
+from helpers import gramian_generating_sequence, identity_spec, random_spec
 from toepreg.toeplitz import (
     HermitianToeplitzSpec,
     ProblemSpec,
     ToeplitzSpec,
     adjoint_spec,
-    gramian_generating_sequence,
-    identity_spec,
     materialize,
     spec_from_json,
     spec_to_json,
@@ -175,6 +173,34 @@ def test_problem_spec_validation():
     g = HermitianToeplitzSpec(4, np.array([2.0, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ProblemSpec.gramian(g, random_spec(rng, 4, 3), np.ones(4))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_toeplitz_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ToeplitzSpec(2, 2, [1.0, bad, 3.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_hermitian_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HermitianToeplitzSpec(3, np.array([2.0, bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["b", "normal_rhs", "beta"])
+def test_problem_spec_rejects_non_finite(field, bad):
+    t = identity_spec(2)
+    with pytest.raises(ValueError, match="finite"):
+        if field == "b":
+            ProblemSpec.general(t, t, [1.0, bad])
+        elif field == "normal_rhs":
+            ProblemSpec.gramian(HermitianToeplitzSpec(2, [2.0, 0.0]), t, [bad, 1.0])
+        else:
+            ProblemSpec.l2(t, bad, [1.0, 2.0])
 
 
 def test_normal_rhs_vector_general_matches_dense():
