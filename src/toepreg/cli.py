@@ -85,7 +85,7 @@ def _hermitian_from_spec(spec: ToeplitzSpec) -> HermitianToeplitzSpec:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(n_lim=args.nlim, pivot_threshold=args.pivot_threshold)
+    return SolverConfig(n_lim=args.nlim)
 
 
 def _random_problem(args) -> ProblemSpec:
@@ -123,7 +123,20 @@ def _file_problem(args) -> ProblemSpec:
                                _load_vector(args.rhs))
 
 
+# Flags of ``solve`` that only some variants read.
+_VARIANT_FLAGS = {"m": ("general", "l2"), "p": ("general", "gramian"),
+                  "beta": ("l2",), "beta_sq": ("l2",)}
+
+
+def _check_variant_flags(args):
+    for name, variants in _VARIANT_FLAGS.items():
+        if getattr(args, name) is not None and args.variant not in variants:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to the {args.variant} variant")
+
+
 def _cmd_solve(args) -> int:
+    _check_variant_flags(args)
     problem = _file_problem(args) if args.input else _random_problem(args)
     report = solve_tikhonov(problem, _solver_config(args))
     print(f"variant={report.variant} n={problem.n} wall_s={report.wall_time:.6f} "
@@ -139,8 +152,7 @@ def _cmd_solve(args) -> int:
 def _experiment_config(args) -> ExperimentConfig:
     variants = VARIANTS if args.variant == "all" else (args.variant,)
     return ExperimentConfig(variants=variants, sizes=args.sizes, trials=args.trials,
-                            seed=args.seed, n_lim=args.nlim,
-                            pivot_threshold=args.pivot_threshold)
+                            seed=args.seed, n_lim=args.nlim)
 
 
 def _maybe_write(args, rows):
@@ -181,8 +193,7 @@ def _cmd_cg_equiv(args) -> int:
 def _cmd_nufft(args) -> int:
     cfg = NufftConfig(n=args.n, samples=args.samples, components=args.components,
                       f_max=args.f_max, reg_scale=args.reg_scale, seed=args.seed,
-                      n_lim=args.nlim, pivot_threshold=args.pivot_threshold,
-                      compute_condition=args.condition)
+                      n_lim=args.nlim, compute_condition=args.condition)
     report = run_nufft(cfg)
     keys = ["n", "samples", "reg_scale", "seed", "wall_direct", "wall_cg",
             "cg_iterations", "rel_err_direct", "rel_err_cg",
@@ -203,7 +214,6 @@ def _cmd_nufft(args) -> int:
 def _add_solver_flags(sub):
     sub.add_argument("--nlim", type=int, default=256,
                      help="serial base-case size for the recursion")
-    sub.add_argument("--pivot-threshold", type=float, default=1e-8)
 
 
 def _add_experiment_flags(sub):

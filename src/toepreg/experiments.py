@@ -50,10 +50,9 @@ class ExperimentConfig:
     trials: int = 3
     seed: int = 2024
     n_lim: int = 256
-    pivot_threshold: float = 1e-8
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(n_lim=self.n_lim, pivot_threshold=self.pivot_threshold)
+        return SolverConfig(n_lim=self.n_lim)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,16 @@ vector conditions, one per node; unknown blocks become polynomial segments
 with prescribed degree bounds.  The solver then needs only the node weights
 produced here.
 
-Row layouts (slot order is fixed; the last slot is the inhomogeneous one):
+Row layout for a problem with k penalty blocks B_1..B_k (``factors``: general
+has T and L, l2 has T, gramian has L).  There are 1 + k rows and 2k + 3
+slots (x, s_1..s_k, g_0..g_k, const); the last slot is the inhomogeneous one:
 
-general   rows 0..2, slots (x, s1, s2, g1, g2, g3, const)
-          s1 = T x, s2 = L x, g* free fill blocks
-l2        rows 0..1, slots (x, s1, g1, g2, const)
-gramian   rows 0..1, slots (x, s, g1, g2, const)
+row 0     D x + sum_i B_i^H s_i + g_0 = rhs, where the diagonal term D is
+          the ridge beta_sq I (l2), the Gramian G (gramian) or absent
+row i     s_i = B_i x up to the fill g_i, with s_i as tall as B_i
+bounds    [n, rows_i..., N - n, N - rows_i..., 1]
+
+The g_i are free fill blocks absorbing the circulant wrap-around.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ __all__ = [
     "InterpolationCondition",
     "AssembledSystem",
     "assemble",
-    "assemble_general",
-    "assemble_l2",
-    "assemble_gramian",
 ]
 
 
@@ -167,85 +168,27 @@ class AssembledSystem:
     def condition(self, row: int, k: int) -> InterpolationCondition:
         return InterpolationCondition(self.nodes[k], self.weights[row, k].copy(), row, k)
 
-    def condition_count(self) -> int:
-        return self.rows * self.order
-
-
-def _extended_order(n_tilde: int, rows: int, n_lim: int) -> int:
-    return n_tilde + opt_extend(n_tilde, n_lim, rows=rows)
-
-
-def assemble_general(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
-    T, L = problem.T, problem.L
-    n, m, pl = problem.n, problem.m, problem.reg_rows
-    order = _extended_order(max(m, pl) + n, 3, n_lim)
-    nodes = unit_roots(order)
-    w = np.zeros((3, order, 7), dtype=np.complex128)
-    # normal equation: T^H s1 + L^H s2 + fill = T^H b
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order)
-    w[0, :, 2] = _aligned_spectrum(adjoint_spec(L), order)
-    w[0, :, 3] = 1.0
-    w[0, :, 6] = _rhs_spectrum(problem.normal_rhs_vector(), order)
-    # coupling s1 = T x
-    w[1, :, 0] = -_aligned_spectrum(T, order)
-    w[1, :, 1] = nodes ** (order - m)
-    w[1, :, 4] = 1.0
-    # coupling s2 = L x
-    w[2, :, 0] = -_aligned_spectrum(L, order)
-    w[2, :, 2] = nodes ** (order - pl)
-    w[2, :, 5] = 1.0
-    bounds = [n, m, pl, order - n, order - m, order - pl, 1]
-    return AssembledSystem("general", n, order, bounds, w)
-
-
-def assemble_l2(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
-    T = problem.T
-    n, m = problem.n, problem.m
-    order = _extended_order(m + n, 2, n_lim)
-    nodes = unit_roots(order)
-    w = np.zeros((2, order, 5), dtype=np.complex128)
-    # normal equation with the ridge term kept in factored form
-    w[0, :, 0] = problem.beta_sq * nodes ** (order - n)
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(T), order)
-    w[0, :, 2] = 1.0
-    w[0, :, 4] = _rhs_spectrum(problem.normal_rhs_vector(), order)
-    # coupling s1 = T x
-    w[1, :, 0] = -_aligned_spectrum(T, order)
-    w[1, :, 1] = nodes ** (order - m)
-    w[1, :, 3] = 1.0
-    bounds = [n, m, order - n, order - m, 1]
-    return AssembledSystem("l2", n, order, bounds, w)
-
-
-def assemble_gramian(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
-    G, L = problem.G, problem.L
-    n, pl = problem.n, problem.reg_rows
-    order = _extended_order(max(n, pl) + n, 2, n_lim)
-    nodes = unit_roots(order)
-    w = np.zeros((2, order, 5), dtype=np.complex128)
-    # normal equation G x + L^H s = y
-    w[0, :, 0] = _aligned_spectrum(G.as_toeplitz(), order)
-    w[0, :, 1] = _aligned_spectrum(adjoint_spec(L), order)
-    w[0, :, 2] = 1.0
-    w[0, :, 4] = _rhs_spectrum(problem.normal_rhs_vector(), order)
-    # coupling s = L x
-    w[1, :, 0] = -_aligned_spectrum(L, order)
-    w[1, :, 1] = nodes ** (order - pl)
-    w[1, :, 3] = 1.0
-    bounds = [n, pl, order - n, order - pl, 1]
-    return AssembledSystem("gramian", n, order, bounds, w)
-
-
-_ASSEMBLERS = {
-    "general": assemble_general,
-    "l2": assemble_l2,
-    "gramian": assemble_gramian,
-}
-
 
 def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
-    try:
-        fn = _ASSEMBLERS[problem.variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {problem.variant!r}") from None
-    return fn(problem, n_lim=n_lim)
+    """Node weights and degree bounds in the row layout of the module
+    docstring."""
+    factors = problem.factors
+    k = len(factors)
+    n, n_tilde = problem.n, problem.n_tilde
+    order = n_tilde + opt_extend(n_tilde, n_lim, rows=k + 1)
+    nodes = unit_roots(order)
+    w = np.zeros((k + 1, order, 2 * k + 3), dtype=np.complex128)
+    if problem.variant == "l2":
+        w[0, :, 0] = problem.beta_sq * nodes ** (order - n)
+    elif problem.variant == "gramian":
+        w[0, :, 0] = _aligned_spectrum(problem.G.as_toeplitz(), order)
+    for i, block in enumerate(factors, 1):
+        w[0, :, i] = _aligned_spectrum(adjoint_spec(block), order)
+        w[i, :, 0] = -_aligned_spectrum(block, order)
+        w[i, :, i] = nodes ** (order - block.rows)
+        w[i, :, k + 1 + i] = 1.0
+    w[0, :, k + 1] = 1.0
+    w[0, :, -1] = _rhs_spectrum(problem.normal_rhs_vector(), order)
+    rows = [block.rows for block in factors]
+    bounds = [n, *rows, order - n, *(order - r for r in rows), 1]
+    return AssembledSystem(problem.variant, n, order, bounds, w)

@@ -109,15 +109,8 @@ class MatrixPoly:
         self.coeffs = c
 
     @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
     def length(self) -> int:
         return self.coeffs.shape[2]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.coeffs[:, j, :]
 
     def eval_grid(self, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndarray:
         """Values on a node coset with the node axis first: (count, p, p)."""

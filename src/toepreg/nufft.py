@@ -45,7 +45,6 @@ class NufftConfig:
     reg_scale: float = 1e-4
     seed: int = 0
     n_lim: int = 256
-    pivot_threshold: float = 1e-8
     compute_condition: bool = False
 
 
@@ -120,7 +119,7 @@ def run_nufft(config: NufftConfig = None) -> dict:
     reg = second_difference_regularizer(cfg.n, cfg.reg_scale)
     problem = ProblemSpec.gramian(gram, reg, rhs)
 
-    solver_cfg = SolverConfig(n_lim=cfg.n_lim, pivot_threshold=cfg.pivot_threshold)
+    solver_cfg = SolverConfig(n_lim=cfg.n_lim)
     report = solve_tikhonov(problem, solver_cfg)
 
     op = NormalOperator(problem)

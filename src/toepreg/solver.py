@@ -40,7 +40,6 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     n_lim: int = 256
-    pivot_threshold: float = 1e-8
 
 
 @dataclass
@@ -63,8 +62,7 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
     system = assemble(problem, n_lim=cfg.n_lim)
     state = TauState.from_tau(system.tau)
     diag = TanIntDiagnostics()
-    basis, _ = rec_tan_int(system, state, n_lim=cfg.n_lim,
-                           pivot_threshold=cfg.pivot_threshold, diagnostics=diag)
+    basis, _ = rec_tan_int(system, state, n_lim=cfg.n_lim, diagnostics=diag)
     x = extract_solution(basis, state, problem.n)
     wall = time.perf_counter() - start
     rhs = problem.normal_rhs_vector()
@@ -78,17 +76,17 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
 
 def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:
     """The regularized normal matrix assembled from materialized blocks."""
-    if problem.variant == "general":
-        td = materialize(problem.T)
-        ld = materialize(problem.L)
-        return td.conj().T @ td + ld.conj().T @ ld
     if problem.variant == "l2":
-        td = materialize(problem.T)
-        return td.conj().T @ td + problem.beta_sq * np.eye(problem.n)
-    if problem.variant == "gramian":
-        ld = materialize(problem.L)
-        return materialize(problem.G.as_toeplitz()) + ld.conj().T @ ld
-    raise ValueError(f"unknown variant {problem.variant!r}")
+        out = problem.beta_sq * np.eye(problem.n)
+    elif problem.variant == "gramian":
+        out = materialize(problem.G.as_toeplitz())
+    else:
+        out = None
+    for block in problem.factors:
+        dense = materialize(block)
+        term = dense.conj().T @ dense
+        out = term if out is None else out + term
+    return out
 
 
 def dense_oracle(problem: ProblemSpec, max_n: int = 2048) -> np.ndarray:
@@ -96,46 +94,36 @@ def dense_oracle(problem: ProblemSpec, max_n: int = 2048) -> np.ndarray:
     if problem.n > max_n:
         raise ValueError(f"oracle limited to n <= {max_n}")
     a = dense_normal_matrix(problem)
-    if problem.variant == "gramian":
-        rhs = problem.normal_rhs_vector()
-    else:
+    if problem.normal_rhs is None:
         rhs = materialize(problem.T).conj().T @ problem.b
+    else:
+        rhs = problem.normal_rhs_vector()
     return np.linalg.solve(a, rhs)
 
 
 class NormalOperator:
-    """Matrix-free x -> (T^H T + L^H L) x and friends, FFT throughout.
+    """Matrix-free x -> (D + sum_B B^H B) x over the problem's ``factors`` B
+    and its diagonal term D (ridge, Gramian or none), FFT throughout.
 
-    All blocks share one 7-smooth circulant order, so generator spectra are
-    cached once and each apply costs 7 transforms for the general variant,
-    4 for the ridge variant, 5 for the Gramian one.  ``transforms`` counts
-    forward plus inverse FFT calls, for instrumentation.
+    All blocks share one 7-smooth circulant order, so a (B, B^H) spectrum
+    pair per factor is cached once.  Each apply costs one forward transform
+    of x, three per factor and one more for a Gramian: 7 transforms for the
+    general variant, 4 for the ridge variant, 5 for the Gramian one.
+    ``transforms`` counts forward plus inverse FFT calls, for
+    instrumentation.
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
         self.transforms = 0
-        n = problem.n
-        variant = problem.variant
-        if variant == "general":
-            need = max(problem.m + n, problem.reg_rows + n) - 1
-        elif variant == "l2":
-            need = problem.m + n - 1
-        else:
-            need = max(2 * n, problem.reg_rows + n) - 1
-        self.q = next_fast_len(need)
-        self._spectra = {}
-        if variant in ("general", "l2"):
-            self._cache("T", problem.T)
-            self._cache("Th", adjoint_spec(problem.T))
-        if variant in ("general", "gramian"):
-            self._cache("L", problem.L)
-            self._cache("Lh", adjoint_spec(problem.L))
-        if variant == "gramian":
-            self._cache("G", problem.G.as_toeplitz())
+        self.q = next_fast_len(problem.n_tilde - 1)
+        self._pairs = [(self._spectrum(block), self._spectrum(adjoint_spec(block)),
+                        block.rows) for block in problem.factors]
+        if problem.variant == "gramian":
+            self._gramian = self._spectrum(problem.G.as_toeplitz())
 
-    def _cache(self, key, spec):
-        self._spectra[key] = np.fft.fft(embedded_first_column(spec, self.q))
+    def _spectrum(self, spec):
+        return np.fft.fft(embedded_first_column(spec, self.q))
 
     def _fft(self, v):
         self.transforms += 1
@@ -144,12 +132,6 @@ class NormalOperator:
     def _ifft(self, v):
         self.transforms += 1
         return np.fft.ifft(v)
-
-    def _gram_term(self, fx, fwd, adj, rows, cols):
-        """adjoint(B) @ (B @ x) from the transform of x; B is rows x cols."""
-        mid = self._ifft(self._spectra[fwd] * fx)
-        mid[rows:] = 0.0
-        return self._ifft(self._spectra[adj] * self._fft(mid))[:cols]
 
     @property
     def n(self) -> int:
@@ -160,13 +142,19 @@ class NormalOperator:
         n = p.n
         x = np.asarray(x, dtype=np.complex128)
         fx = self._fft(x)
-        if p.variant == "general":
-            return (self._gram_term(fx, "T", "Th", p.m, n)
-                    + self._gram_term(fx, "L", "Lh", p.reg_rows, n))
         if p.variant == "l2":
-            return self._gram_term(fx, "T", "Th", p.m, n) + p.beta_sq * x
-        gx = self._ifft(self._spectra["G"] * fx)[:n]
-        return gx + self._gram_term(fx, "L", "Lh", p.reg_rows, n)
+            out = p.beta_sq * x
+        elif p.variant == "gramian":
+            out = self._ifft(self._gramian * fx)[:n]
+        else:
+            out = None
+        for fwd, adj, rows in self._pairs:
+            # adjoint(B) @ (B @ x) from the transform of x; B has n columns
+            mid = self._ifft(fwd * fx)
+            mid[rows:] = 0.0
+            term = self._ifft(adj * self._fft(mid))[:n]
+            out = term if out is None else out + term
+        return out
 
 
 def apply_normal_operator(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:

@@ -45,6 +45,10 @@ __all__ = [
 _RESCALE_TRIGGER = 1e8
 _RESCALE_PERIOD = 8
 
+# A pivot smaller than this fraction of the largest candidate defers its
+# condition; the cleanup pass accepts pivots down to 1e-13.
+_PIVOT_THRESHOLD = 1e-8
+
 
 class SingularSystemError(RuntimeError):
     """The interpolation data does not determine a unique solution."""
@@ -154,13 +158,20 @@ class _Workspace:
         return float(colmax[big].max())
 
     def normalize(self):
-        colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
-        safe = np.where(colmax > 0.0, colmax, 1.0)
-        self.c[:, :, :self.length] /= safe[None, :, None]
-        return float(safe.max())
+        return _normalize_columns(self.c[:, :, :self.length])
 
     def view(self) -> np.ndarray:
         return self.c[:, :, :self.length].copy()
+
+
+def _normalize_columns(coeffs) -> float:
+    """Scale each column of a (p, p, length) coefficient array in place to
+    unit largest magnitude, leaving all-zero columns alone.  Returns the
+    largest divisor."""
+    colmax = np.abs(coeffs).max(axis=(0, 2))
+    safe = np.where(colmax > 0.0, colmax, 1.0)
+    coeffs /= safe[None, :, None]
+    return float(safe.max())
 
 
 def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
@@ -256,8 +267,7 @@ def _flatten(weights, nodes, order):
     return np.repeat(nodes[order], rows), sub, refs
 
 
-def serial_tan_int(source, tau_state: TauState = None,
-                   pivot_threshold: float = 1e-8, defer: bool = True):
+def serial_tan_int(source, tau_state: TauState = None, defer: bool = True):
     """One-pass reference driver.  Returns (basis, deferred conditions).
 
     ``source`` is an AssembledSystem (all conditions, node-major) or an
@@ -280,7 +290,7 @@ def serial_tan_int(source, tau_state: TauState = None,
     ws = _Workspace(p, len(nodes) + 1)
     deferred = []
     _serial_core(ws, nodes, weights, refs, tau_state.col_degrees,
-                 pivot_threshold, defer, deferred, None)
+                 _PIVOT_THRESHOLD, defer, deferred, None)
     ws.normalize()
     return MatrixPoly(ws.view()), deferred
 
@@ -294,7 +304,7 @@ class _Engine:
     deferred conditions.
     """
 
-    def __init__(self, system, tau_state, n_lim, pivot_threshold, diag):
+    def __init__(self, system, tau_state, n_lim, diag):
         self.system = system
         self.order = system.order
         self.rows = system.rows
@@ -303,7 +313,6 @@ class _Engine:
         self.nodes = system.nodes
         self.col_degrees = tau_state.col_degrees
         self.n_lim = n_lim
-        self.pivot_threshold = pivot_threshold
         self.diag = diag
         self.deferred = []
 
@@ -352,12 +361,9 @@ class _Engine:
         self._update_weights(right, new_stride, b_left)
         b_right = self._rec(right, new_stride, depth + 1)
         prod = matpoly_multiply(b_left, b_right, extended=True).trimmed()
-        coeffs = prod.coeffs
-        colmax = np.abs(coeffs).max(axis=(0, 2))
-        safe = np.where(colmax > 0.0, colmax, 1.0)
-        coeffs /= safe[None, :, None]
-        self.diag.max_column_scale = max(self.diag.max_column_scale, float(safe.max()))
-        return MatrixPoly(coeffs)
+        factor = _normalize_columns(prod.coeffs)
+        self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
+        return prod
 
     def _update_weights(self, offsets, stride, basis: MatrixPoly):
         for o in offsets:
@@ -388,7 +394,7 @@ class _Engine:
             cd = self.col_degrees.copy()
             deferred = []
             scratch = TanIntDiagnostics()
-            _serial_core(ws, nodes, sub, refs, cd, self.pivot_threshold,
+            _serial_core(ws, nodes, sub, refs, cd, _PIVOT_THRESHOLD,
                          True, deferred, scratch)
             factor = max(ws.normalize(), scratch.max_column_scale)
             coeffs = ws.view()
@@ -420,20 +426,19 @@ class _Engine:
         # Against the full basis the once-ambiguous pivots are decided; any
         # residual underflow here is a genuinely singular system.
         _serial_core(ws, nodes, weights, refs, self.col_degrees,
-                     min(1e-13, self.pivot_threshold), False, [], self.diag)
+                     1e-13, False, [], self.diag)
         ws.normalize()
         return MatrixPoly(ws.view())
 
 
 def rec_tan_int(system: AssembledSystem, tau_state: TauState = None,
-                n_lim: int = 256, pivot_threshold: float = 1e-8,
-                diagnostics: TanIntDiagnostics = None):
+                n_lim: int = 256, diagnostics: TanIntDiagnostics = None):
     """Fast driver.  Returns (basis, difficult points encountered)."""
     if tau_state is None:
         tau_state = TauState.from_tau(system.tau)
     if diagnostics is None:
         diagnostics = TanIntDiagnostics()
-    engine = _Engine(system, tau_state, n_lim, pivot_threshold, diagnostics)
+    engine = _Engine(system, tau_state, n_lim, diagnostics)
     basis = engine.run()
     return basis, engine.deferred
 

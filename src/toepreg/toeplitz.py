@@ -188,8 +188,29 @@ class ProblemSpec:
         return cls(variant="gramian", G=G, L=L, normal_rhs=rhs)
 
     @property
+    def factors(self) -> tuple:
+        """The Toeplitz blocks B whose Gram terms B^H B sum, together with
+        the ridge or Gramian diagonal term, into the normal matrix."""
+        if self.variant == "general":
+            return (self.T, self.L)
+        if self.variant == "l2":
+            return (self.T,)
+        if self.variant == "gramian":
+            return (self.L,)
+        raise ValueError(f"unknown variant {self.variant!r}")
+
+    @property
+    def n_tilde(self) -> int:
+        """Rows of the tallest block (G counts as n x n) plus n: the order of
+        the augmented system before its circulant extension."""
+        rows = [block.rows for block in self.factors]
+        if self.G is not None:
+            rows.append(self.G.order)
+        return max(rows) + self.n
+
+    @property
     def n(self) -> int:
-        return self.G.order if self.variant == "gramian" else self.T.cols
+        return self.factors[0].cols
 
     @property
     def m(self) -> int:

@@ -151,7 +151,7 @@ def test_serial_and_recursive_drivers_agree():
         rng = np.random.default_rng(np.random.SeedSequence((8806, checked)))
         problem = random_problem(variant, n, rng)
         system = assemble(problem, n_lim=64)
-        assert system.condition_count() <= 512
+        assert system.rows * system.order <= 512
         ts_serial = TauState.from_tau(system.tau)
         basis_serial, _ = serial_tan_int(system, ts_serial)
         ts_rec = TauState.from_tau(system.tau)

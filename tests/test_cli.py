@@ -158,6 +158,19 @@ def test_zero_block_rows_exit_two(capsys, flag):
     assert "dimensions must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant, flag, value", [
+    ("gramian", "--m", "4"),
+    ("l2", "--p", "4"),
+    ("general", "--beta", "2"),
+    ("general", "--beta-sq", "2"),
+    ("gramian", "--beta", "2"),
+    ("gramian", "--beta-sq", "2"),
+])
+def test_flag_unused_by_variant_exits_two(capsys, variant, flag, value):
+    assert main(["solve", "--variant", variant, "--n", "8", flag, value]) == 2
+    assert f"{flag} does not apply" in capsys.readouterr().err
+
+
 def test_singular_system_exits_three(tmp_path, capsys):
     n = 4
     zeros = {"rows": n, "cols": n, "gen_re": [0.0] * (2 * n - 1)}

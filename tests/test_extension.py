@@ -13,9 +13,6 @@ from helpers import (
 )
 from toepreg.extension import (
     assemble,
-    assemble_general,
-    assemble_gramian,
-    assemble_l2,
     extended_generating_sequence,
     opt_extend,
     opt_extend_detail,
@@ -156,30 +153,21 @@ def test_spectrum_rejects_short_order():
 
 # -------------------------------------------------------------- assembly
 
-def test_general_identity_problem_null_space():
-    rng = np.random.default_rng(43)
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    problem = ProblemSpec.general(identity_spec(6), identity_spec(6), b)
-    system = assemble_general(problem)
-    x, _ = null_space_solution(system)
-    assert np.abs(x - b / 2.0).max() < 1e-10
-
-
-def test_l2_identity_problem_null_space():
-    rng = np.random.default_rng(44)
-    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    problem = ProblemSpec.l2(identity_spec(5), 1.0, b)
-    system = assemble_l2(problem)
-    x, _ = null_space_solution(system)
-    assert np.abs(x - b / 2.0).max() < 1e-10
-
-
-def test_gramian_identity_problem_null_space():
-    rng = np.random.default_rng(45)
-    rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    problem = ProblemSpec.gramian(identity_gramian(6), identity_spec(6), rhs)
-    system = assemble_gramian(problem)
-    x, _ = null_space_solution(system)
+@pytest.mark.parametrize("variant, seed, n", [
+    ("general", 43, 6), ("l2", 44, 5), ("gramian", 45, 6),
+], ids=["general", "l2", "gramian"])
+def test_identity_problem_null_space(variant, seed, n):
+    # identity blocks and a unit ridge weight make the normal matrix 2I
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    eye = identity_spec(n)
+    if variant == "general":
+        problem = ProblemSpec.general(eye, eye, rhs)
+    elif variant == "l2":
+        problem = ProblemSpec.l2(eye, 1.0, rhs)
+    else:
+        problem = ProblemSpec.gramian(identity_gramian(n), eye, rhs)
+    x, _ = null_space_solution(assemble(problem))
     assert np.abs(x - rhs / 2.0).max() < 1e-10
 
 
@@ -191,7 +179,7 @@ def test_coupling_identity_column_alternates_when_row_half_genuine():
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     problem = ProblemSpec.gramian(identity_gramian(n), random_spec(rng, n, n),
                                   rhs)
-    system = assemble_gramian(problem)
+    system = assemble(problem)
     assert system.order == 2 * n
     signs = (-1.0) ** np.arange(2 * n)
     assert np.abs(system.weights[1, :, 1] - signs).max() < 1e-12
@@ -240,16 +228,16 @@ def test_condition_counts_and_widths():
     n = 8
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cases = [
-        (assemble_general(ProblemSpec.general(
+        (assemble(ProblemSpec.general(
             random_spec(rng, n, n), random_spec(rng, n, n), b)), 3, 7),
-        (assemble_l2(ProblemSpec.l2(random_spec(rng, n, n), 1.5, b)), 2, 5),
-        (assemble_gramian(ProblemSpec.gramian(
+        (assemble(ProblemSpec.l2(random_spec(rng, n, n), 1.5, b)), 2, 5),
+        (assemble(ProblemSpec.gramian(
             identity_gramian(n), random_spec(rng, n, n), b)), 2, 5),
     ]
     for system, rows, p in cases:
         assert system.rows == rows
         assert system.p == p
-        assert system.condition_count() == rows * system.order
+        assert system.weights.shape == (rows, system.order, p)
         assert system.solution_slot == 0
         assert system.const_slot == p - 1
         assert system.degree_bounds[0] == n

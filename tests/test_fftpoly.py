@@ -20,7 +20,7 @@ def crandn(rng, *shape):
 
 def schoolbook_matpoly(a: MatrixPoly, b: MatrixPoly) -> np.ndarray:
     """Direct triple loop with convolutions, the slow reference product."""
-    p = a.dim
+    p = a.coeffs.shape[0]
     out = np.zeros((p, p, a.length + b.length - 1), dtype=np.complex128)
     for i in range(p):
         for j in range(p):

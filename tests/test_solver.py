@@ -87,6 +87,18 @@ def test_planted_solution_is_recovered():
     assert float(np.abs(report.x_hat - x_true).max()) < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["general", "l2", "gramian"])
+def test_dense_oracle_recovers_planted_solution(variant):
+    # a planted problem carries only the normal-equation rhs, no b
+    rng = np.random.default_rng(19)
+    base = random_problem(variant, 24, rng)
+    x_true = (rng.standard_normal(24) + 1j * rng.standard_normal(24)) / np.sqrt(2.0)
+    planted = ProblemSpec(variant=variant, T=base.T, L=base.L, G=base.G,
+                          beta=base.beta, b=None,
+                          normal_rhs=apply_normal_operator(base, x_true))
+    assert rel_err(dense_oracle(planted), x_true) < 1e-10
+
+
 def test_report_fields():
     rng = np.random.default_rng(14)
     problem = random_problem("general", 32, rng)

@@ -267,7 +267,7 @@ def test_composed_halves_interpolate_everything():
     basis = matpoly_multiply(left, right)
     scale = max(np.abs(c.weights).max() for c in conds)
     for j in range(system.p):
-        assert residual(basis.column(j), conds) < 1e-8 * scale
+        assert residual(basis.coeffs[:, j, :], conds) < 1e-8 * scale
 
 
 # --------------------------------------------------- recursive constructor
@@ -305,7 +305,7 @@ def test_recursive_defers_few_points_at_scale():
     problem = l2_problem(rng, 512)
     system = assemble(problem)
     basis, deferred = rec_tan_int(system)
-    assert len(deferred) < 0.05 * system.condition_count()
+    assert len(deferred) < 0.05 * system.rows * system.order
     # deferred or not, the final basis satisfies every condition
     res = np.abs(basis_residuals(system, basis)).max()
     assert res < 1e-8 * np.abs(system.weights).max()
