@@ -92,7 +92,8 @@ def _random_problem(args) -> ProblemSpec:
     n = args.n
     if n is None:
         raise ValueError("either --input or --n is required")
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 17)))
+    seed = 0 if args.seed is None else args.seed
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
     beta = _beta_value(args, n) if args.variant == "l2" else None
     return random_problem(args.variant, n, rng, m=args.m, p=args.p, beta=beta)
 
@@ -135,7 +136,19 @@ def _check_variant_flags(args):
             raise ValueError(f"{flag} does not apply to the {args.variant} variant")
 
 
+# Flags of ``solve`` that only shape a random instance.
+_RANDOM_FLAGS = ("n", "m", "p", "seed")
+
+
+def _check_input_flags(args):
+    for name in _RANDOM_FLAGS:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply with --input")
+
+
 def _cmd_solve(args) -> int:
+    if args.input:
+        _check_input_flags(args)
     _check_variant_flags(args)
     problem = _file_problem(args) if args.input else _random_problem(args)
     report = solve_tikhonov(problem, _solver_config(args))
@@ -246,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int, help="size for a random instance")
     solve.add_argument("--m", type=int, help="data rows (default n)")
     solve.add_argument("--p", type=int, help="regularizer rows (default n)")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=int,
+                       help="seed for a random instance (default 0)")
     solve.add_argument("--out", help="write the solution vector to this path")
     _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)

@@ -17,6 +17,13 @@ condition lengthens its pivot column by one and no column past that, so a
 leaf of K conditions over p columns returns a basis about
 K/(p-1) + 1 coefficients long, not K + 1, and every evaluation, self-check
 and combine product downstream works on that true length.
+
+A condition whose pivot underflows in a leaf is deferred.  After the tree,
+the cleanup pass absorbs the deferred conditions in batches of at most
+``n_lim``: each batch is swept like a leaf, against its weights
+premultiplied by the finished basis, and folded in by one combine product.
+A deferred condition thus costs one more leaf-sized sweep, not a step over
+the full-length basis.
 """
 
 from __future__ import annotations
@@ -120,16 +127,6 @@ class _Workspace:
         self.c[:, :, 0] = np.eye(p)
         self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs, slack):
-        p, _, length = coeffs.shape
-        ws = cls.__new__(cls)
-        ws.c = np.zeros((p, p, length + slack), dtype=np.complex128)
-        ws.c[:, :, :length] = coeffs
-        ws.lens = np.full(p, length, dtype=np.int64)
-        ws.length = length
-        return ws
 
     def eval(self, z: complex) -> np.ndarray:
         length = self.length
@@ -300,8 +297,9 @@ class _Engine:
 
     Weights are updated in place as left-subtree bases are produced, so a
     leaf always sees its conditions pre-multiplied by everything already
-    absorbed; the pristine originals are kept for the final pass over any
-    deferred conditions.
+    absorbed.  The pristine originals are kept for the cleanup pass, which
+    absorbs the deferred conditions after the tree in leaf-sized batches,
+    each folded in by one combine product like a further right subtree.
     """
 
     def __init__(self, system, tau_state, n_lim, diag):
@@ -382,7 +380,9 @@ class _Engine:
         The basis is therefore checked against the leaf's own conditions and
         the sweep rerun under a different absorption order when the check
         fails.  The pivot rule, threshold, and deferral policy are identical
-        in every attempt; only the condition order changes.
+        in every attempt; only the condition order changes.  Conditions the
+        attempt deferred belong to the cleanup pass and are left out of its
+        check.
         """
         idx = self._indices(offsets, stride)
         w_in = self.weights[:, idx, :]
@@ -398,7 +398,13 @@ class _Engine:
                          True, deferred, scratch)
             factor = max(ws.normalize(), scratch.max_column_scale)
             coeffs = ws.view()
-            res = _self_residual(coeffs, self.nodes[idx], w_in, scale)
+            w_chk = w_in
+            if deferred:
+                w_chk = w_in.copy()
+                for d in deferred:
+                    w_chk[d.condition.row_tag,
+                          np.searchsorted(idx, d.condition.index)] = 0.0
+            res = _self_residual(coeffs, self.nodes[idx], w_chk, scale)
             if best is None or res < best[0]:
                 best = (res, coeffs, cd, deferred, factor)
             if best[0] <= _LEAF_CHECK_TOL:
@@ -413,22 +419,39 @@ class _Engine:
     # -- deferred conditions -----------------------------------------------
 
     def _cleanup(self, basis: MatrixPoly) -> MatrixPoly:
+        """Absorb the deferred conditions into the finished basis.
+
+        The points, in stride order, go in batches of at most ``n_lim``
+        conditions.  Each batch is a right subtree of its own: its pristine
+        weights are premultiplied by the current basis (one evaluation on
+        the node grid), swept into a fresh leaf-sized workspace, and the
+        batch basis is folded in by one product, exactly as ``_rec``
+        combines.  A deferred condition thus costs one more leaf-sized
+        sweep, not a step over the full basis.  Against the full basis the
+        once-ambiguous pivots are decided; any residual underflow here is a
+        genuinely singular system.
+        """
         if not self.deferred:
             return basis
         points = sorted(self.deferred,
                         key=lambda d: (d.condition.index, d.condition.row_tag))
         points = [points[i] for i in _stride_order(len(points))]
-        ws = _Workspace.from_coeffs(basis.coeffs, len(points) + 1)
-        nodes = np.array([d.condition.node for d in points])
-        weights = np.array([self.pristine[d.condition.row_tag, d.condition.index]
-                            for d in points])
-        refs = [(d.condition.index, d.condition.row_tag) for d in points]
-        # Against the full basis the once-ambiguous pivots are decided; any
-        # residual underflow here is a genuinely singular system.
-        _serial_core(ws, nodes, weights, refs, self.col_degrees,
-                     1e-13, False, [], self.diag)
-        ws.normalize()
-        return MatrixPoly(ws.view())
+        p = self.weights.shape[2]
+        for start in range(0, len(points), self.n_lim):
+            refs = [(d.condition.index, d.condition.row_tag)
+                    for d in points[start:start + self.n_lim]]
+            index, row = np.array(refs).T
+            vals = grid_eval(basis.coeffs, self.order)[:, :, index]
+            weights = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
+            ws = _Workspace(p, len(refs) + 1)
+            _serial_core(ws, self.nodes[index], weights, refs, self.col_degrees,
+                         1e-13, False, [], self.diag)
+            factor = ws.normalize()
+            basis = matpoly_multiply(basis, MatrixPoly(ws.view()),
+                                     extended=True).trimmed()
+            factor = max(factor, _normalize_columns(basis.coeffs))
+            self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
+        return basis
 
 
 def rec_tan_int(system: AssembledSystem, tau_state: TauState = None,

@@ -8,6 +8,7 @@ below are used by the tests only, so they live here and not in the library.
 
 import numpy as np
 
+from toepreg import tanint
 from toepreg.extension import AssembledSystem, extended_generating_sequence
 from toepreg.fftpoly import MatrixPoly, poly_eval
 from toepreg.solver import dense_normal_matrix
@@ -179,3 +180,28 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
     coeffs[j, j, 0] = -node
     coeffs[j, j, 1] = 1.0
     return MatrixPoly(coeffs), j
+
+
+def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
+    """Reference for ``_Engine._cleanup``: every deferred condition, in the
+    same stride order, is stepped one at a time into the full-length final
+    basis.  Costs O(deferred x basis length); patch it over the engine's
+    method to compare the batched pass against it."""
+    if not engine.deferred:
+        return basis
+    points = sorted(engine.deferred,
+                    key=lambda d: (d.condition.index, d.condition.row_tag))
+    points = [points[i] for i in tanint._stride_order(len(points))]
+    p, _, length = basis.coeffs.shape
+    ws = tanint._Workspace(p, length + len(points) + 1)
+    ws.c[:, :, :length] = basis.coeffs
+    ws.lens[:] = length
+    ws.length = length
+    nodes = np.array([d.condition.node for d in points])
+    weights = np.array([engine.pristine[d.condition.row_tag, d.condition.index]
+                        for d in points])
+    refs = [(d.condition.index, d.condition.row_tag) for d in points]
+    tanint._serial_core(ws, nodes, weights, refs, engine.col_degrees,
+                        1e-13, False, [], engine.diag)
+    ws.normalize()
+    return MatrixPoly(ws.view())

@@ -171,6 +171,30 @@ def test_flag_unused_by_variant_exits_two(capsys, variant, flag, value):
     assert f"{flag} does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "100"), ("--m", "7"), ("--p", "9"), ("--seed", "0"),
+])
+def test_random_instance_flag_with_input_exits_two(tmp_path, capsys, flag, value):
+    n = 4
+    eye = {"rows": n, "cols": n, "gen_re": [0.0] * (n - 1) + [1.0] + [0.0] * (n - 1)}
+    code = main(["solve", "--variant", "general",
+                 "--input", write_json(tmp_path / "T.json", eye),
+                 "--reg", write_json(tmp_path / "L.json", eye),
+                 "--b", write_json(tmp_path / "b.json", vector_to_json(np.ones(n))),
+                 flag, value])
+    assert code == 2
+    assert f"{flag} does not apply with --input" in capsys.readouterr().err
+
+
+def test_solve_seed_defaults_to_zero(tmp_path):
+    outs = [tmp_path / "default.json", tmp_path / "zero.json"]
+    assert main(["solve", "--variant", "l2", "--n", "16",
+                 "--out", str(outs[0])]) == 0
+    assert main(["solve", "--variant", "l2", "--n", "16", "--seed", "0",
+                 "--out", str(outs[1])]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+
+
 def test_singular_system_exits_three(tmp_path, capsys):
     n = 4
     zeros = {"rows": n, "cols": n, "gen_re": [0.0] * (2 * n - 1)}

@@ -7,6 +7,7 @@ import toepreg.tanint as tanint
 from helpers import (
     NEG_INF,
     dense_tikhonov,
+    full_basis_cleanup,
     identity_poly,
     random_spec,
     rel_err,
@@ -15,8 +16,9 @@ from helpers import (
     tau_degree,
 )
 from toepreg.experiments import random_problem
-from toepreg.extension import InterpolationCondition, assemble
+from toepreg.extension import AssembledSystem, InterpolationCondition, assemble
 from toepreg.fftpoly import MatrixPoly, matpoly_multiply, poly_eval
+from toepreg.solver import apply_normal_operator
 from toepreg.tanint import (
     SingularSystemError,
     TanIntDiagnostics,
@@ -175,10 +177,6 @@ def test_workspace_tracks_true_column_lengths():
     assert ws.rescale(trigger=1.0) == colmax.max()
     ref /= np.where(colmax > 1.0, colmax, 1.0)[None, :, None]
     _assert_true_lengths(ws, ref)
-    ws = tanint._Workspace.from_coeffs(ws.view(), 16)
-    assert np.array_equal(ws.lens, np.full(p, ws.length))
-    _assert_true_lengths(ws, ref)
-    steps(ws, 16)
 
 
 # ------------------------------------------------------ serial constructor
@@ -357,6 +355,76 @@ def test_leaf_retries_count_extra_sweeps(monkeypatch, variant, retried):
     assert diag.leaf_retries == len(sweeps) - len(leaves)
     assert (diag.leaf_retries > 0) == retried
     assert diag.as_dict()["leaf_retries"] == diag.leaf_retries
+
+
+def _rect_problem(n: int, shape: str):
+    """General problem of a shape that defers: m = n/4 data rows, or a
+    one-row regularizer."""
+    m, p = (n // 4, n) if shape == "m=n/4" else (n, 1)
+    rng = np.random.default_rng(np.random.SeedSequence((73, n, p)))
+    return random_problem("general", n, rng, m=m, p=p)
+
+
+@pytest.mark.parametrize("shape", ["m=n/4", "p=1"])
+@pytest.mark.parametrize("n", [128, 256])
+def test_batched_cleanup_matches_full_basis_reference(monkeypatch, n, shape):
+    problem = _rect_problem(n, shape)
+    system = assemble(problem)
+    rhs = problem.normal_rhs_vector()
+    exact = dense_tikhonov(problem)
+    found = {}
+    for name, cleanup in (("batched", tanint._Engine._cleanup),
+                          ("reference", full_basis_cleanup)):
+        monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
+        ts = TauState.from_tau(system.tau)
+        diag = TanIntDiagnostics()
+        basis, _ = rec_tan_int(system, ts, diagnostics=diag)
+        x = extract_solution(basis, ts, n)
+        residual = (np.linalg.norm(apply_normal_operator(problem, x) - rhs)
+                    / np.linalg.norm(rhs))
+        found[name] = (diag.difficult_points, residual, rel_err(x, exact))
+    (deferred, res, err), (ref_deferred, ref_res, ref_err) = (
+        found["batched"], found["reference"])
+    assert deferred == ref_deferred > 0
+    assert res < 1e-8 and ref_res < 1e-8
+    assert err <= 10.0 * ref_err
+
+
+@pytest.mark.parametrize("cleanup", [tanint._Engine._cleanup, full_basis_cleanup],
+                         ids=["batched", "reference"])
+def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
+    # An all-zero condition is deferred by its leaf and leaves the cleanup
+    # no pivot at all.
+    system = assemble(_rect_problem(128, "m=n/4"))
+    weights = system.weights.copy()
+    weights[0, 5, :] = 0.0
+    broken = AssembledSystem(system.variant, system.n, system.order,
+                             system.degree_bounds, weights)
+    monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
+    with pytest.raises(SingularSystemError):
+        rec_tan_int(broken)
+
+
+def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
+    n_lim = 256
+    system = assemble(_rect_problem(512, "m=n/4"), n_lim=n_lim)
+    sweeps = []
+    serial_core = tanint._serial_core
+
+    def core(ws, nodes, *args):
+        sweeps.append((len(nodes), ws.c.shape[2]))
+        return serial_core(ws, nodes, *args)
+
+    monkeypatch.setattr(tanint, "_serial_core", core)
+    diag = TanIntDiagnostics()
+    rec_tan_int(system, n_lim=n_lim, diagnostics=diag)
+    assert diag.difficult_points > 0
+    assert diag.leaf_retries == 0
+    # every condition is swept once in its leaf, a deferred one once more
+    # in a cleanup batch, and no sweep outgrows a leaf
+    assert (sum(count for count, _ in sweeps)
+            == diag.conditions_total + diag.difficult_points)
+    assert max(capacity for _, capacity in sweeps) <= n_lim + 1
 
 
 def test_recursive_final_degree_structure():
