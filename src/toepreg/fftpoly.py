@@ -24,7 +24,6 @@ __all__ = [
     "next_fast_len",
     "unit_roots",
     "grid_eval",
-    "poly_eval",
     "MatrixPoly",
     "matpoly_multiply",
 ]
@@ -77,13 +76,6 @@ def grid_eval(coeffs, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndar
             c = np.pad(c, width)
         c = c.reshape(c.shape[:-1] + (-1, count)).sum(axis=-2)
     return count * np.fft.ifft(c, n=count, axis=-1)
-
-
-def poly_eval(coeffs, z: complex):
-    """Evaluate at a single point; broadcasts over leading axes."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    powers = np.asarray(z, dtype=np.complex128) ** np.arange(c.shape[-1])
-    return c @ powers
 
 
 def _trim_tail(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -18,6 +18,14 @@ leaf of K conditions over p columns returns a basis about
 K/(p-1) + 1 coefficients long, not K + 1, and every evaluation, self-check
 and combine product downstream works on that true length.
 
+The leaf sweeps of a solve take thousands of trips over p-entry vectors,
+where a NumPy call costs more than its arithmetic.  So only the float work
+runs in NumPy: the condition values, the pivot ratios, the rank-one update
+and shift, and the periodic rescale.  The bookkeeping (pivot choice, degree
+ledger, column lengths, deferral) runs on Python scalars and takes the same
+decisions, so the sweep's output is bit for bit what an all-NumPy loop
+gives.
+
 A condition whose pivot underflows in a leaf is deferred.  After the tree,
 the cleanup pass absorbs the deferred conditions in batches of at most
 ``n_lim``: each batch is swept like a leaf, against its weights
@@ -41,7 +49,6 @@ __all__ = [
     "TauState",
     "DifficultPoint",
     "TanIntDiagnostics",
-    "basis_residuals",
     "serial_tan_int",
     "rec_tan_int",
     "extract_solution",
@@ -103,12 +110,6 @@ class TanIntDiagnostics:
         }
 
 
-def basis_residuals(system: AssembledSystem, basis: MatrixPoly) -> np.ndarray:
-    """All condition values against all basis columns, shape (rows, N, p)."""
-    vals = basis.eval_grid(system.order)
-    return np.einsum("rki,kij->rkj", system.weights, vals)
-
-
 class _Workspace:
     """Mutable coefficient cube (p, p, capacity) for the working basis.
 
@@ -128,23 +129,26 @@ class _Workspace:
         self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
 
-    def eval(self, z: complex) -> np.ndarray:
-        length = self.length
-        return self.c[:, :, :length] @ (z ** np.arange(length))
-
     def step(self, j: int, node: complex, mu: np.ndarray):
-        """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node)."""
-        lens = self.lens
+        """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
+
+        Column lengths are raised on Python scalars: each column mixed with
+        the pivot (mu_i != 0) reaches the pivot's old length, the pivot one
+        more, and ``length`` follows the pivot."""
+        c, lens = self.c, self.lens
         lj = int(lens[j])
-        if lj >= self.c.shape[2]:
+        if lj >= c.shape[2]:
             raise RuntimeError("workspace capacity exceeded")
-        head = self.c[:, j, :lj].copy()
-        self.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
-        self.c[:, j, :lj] = -node * head
-        self.c[:, j, 1:lj + 1] += head
-        np.maximum(lens, lj, out=lens, where=mu != 0.0)
+        head = c[:, j, :lj].copy()
+        c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
+        c[:, j, :lj] = -node * head
+        c[:, j, 1:lj + 1] += head
+        for i, m in enumerate(mu.tolist()):
+            if m and lens[i] < lj:
+                lens[i] = lj
         lens[j] = lj + 1
-        self.length = int(lens.max())
+        if lj >= self.length:
+            self.length = lj + 1
 
     def rescale(self, trigger: float = _RESCALE_TRIGGER):
         colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
@@ -173,33 +177,50 @@ def _normalize_columns(coeffs) -> float:
 
 def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                  defer, deferred, diag):
-    """Absorb the given conditions in order into the workspace."""
-    for t in range(len(nodes)):
-        node = nodes[t]
-        phi = weights[t] @ ws.eval(node)
-        amax = np.abs(phi).max()
-        small = amax == 0.0
-        if not small:
-            cands = np.flatnonzero(col_degrees == col_degrees.min())
-            j = int(cands[np.argmax(np.abs(phi[cands]))])
-            small = abs(phi[j]) < pivot_threshold * amax
-        if small:
-            if not defer:
-                raise SingularSystemError(
-                    "pivot underflow while absorbing an interpolation condition"
-                )
-            k, row = refs[t]
-            deferred.append(DifficultPoint(
-                InterpolationCondition(node, np.array(weights[t]), row, k)))
-            continue
-        mu = -phi / phi[j]
-        mu[j] = 0.0
-        ws.step(j, node, mu)
-        col_degrees[j] += 1
-        if (t + 1) % _RESCALE_PERIOD == 0:
-            factor = ws.rescale()
-            if factor is not None and diag is not None:
-                diag.max_column_scale = max(diag.max_column_scale, factor)
+    """Absorb the given conditions in order into the workspace.
+
+    The pivot is the first largest of ``np.abs(phi)`` among the lowest
+    columns, as an argmax over them picks it, and the threshold test takes
+    the pivot's scalar ``abs``.  NumPy's vectorized complex abs and the
+    scalar one can round apart in the last bit, so neither stands in for
+    the other.  The degree ledger is a list of ints, written back into
+    ``col_degrees`` in place when the sweep ends or raises.
+    """
+    cd = col_degrees.tolist()
+    cols = range(len(cd))
+    c = ws.c
+    powers = np.arange(c.shape[2])
+    try:
+        for t in range(len(nodes)):
+            node = nodes[t]
+            length = ws.length
+            phi = weights[t] @ (c[:, :, :length] @ node ** powers[:length])
+            mags = np.abs(phi).tolist()
+            amax = max(mags)
+            small = amax == 0.0
+            if not small:
+                low = min(cd)
+                j = max((i for i in cols if cd[i] == low), key=mags.__getitem__)
+                small = abs(phi[j]) < pivot_threshold * amax
+            if small:
+                if not defer:
+                    raise SingularSystemError(
+                        "pivot underflow while absorbing an interpolation condition"
+                    )
+                k, row = refs[t]
+                deferred.append(DifficultPoint(
+                    InterpolationCondition(node, np.array(weights[t]), row, k)))
+                continue
+            mu = -phi / phi[j]
+            mu[j] = 0.0
+            ws.step(j, node, mu)
+            cd[j] += 1
+            if (t + 1) % _RESCALE_PERIOD == 0:
+                factor = ws.rescale()
+                if factor is not None and diag is not None:
+                    diag.max_column_scale = max(diag.max_column_scale, factor)
+    finally:
+        col_degrees[:] = cd
 
 
 def _stride_order(count: int, bump: int = 0) -> np.ndarray:

@@ -159,6 +159,11 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None:
                 _check_finite(name, value)
+        if self.beta is not None:
+            try:
+                abs(complex(self.beta)) ** 2
+            except OverflowError:
+                raise ValueError("beta is too large: its square overflows") from None
 
     @classmethod
     def general(cls, T: ToeplitzSpec, L: ToeplitzSpec, b) -> "ProblemSpec":

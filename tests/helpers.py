@@ -4,15 +4,21 @@ Everything here is deliberately naive: dense blocks, numpy solves, explicit
 loops.  The point is to check the fast paths against arithmetic that cannot
 share their failure modes.  The small polynomial and Toeplitz utilities
 below are used by the tests only, so they live here and not in the library.
+The serial sweep with NumPy bookkeeping at the end is the bitwise reference
+for the library's scalar-bookkeeping sweep.
 """
 
 import numpy as np
 
 from toepreg import tanint
-from toepreg.extension import AssembledSystem, extended_generating_sequence
-from toepreg.fftpoly import MatrixPoly, poly_eval
+from toepreg.extension import (
+    AssembledSystem,
+    InterpolationCondition,
+    extended_generating_sequence,
+)
+from toepreg.fftpoly import MatrixPoly
 from toepreg.solver import dense_normal_matrix
-from toepreg.tanint import SingularSystemError
+from toepreg.tanint import DifficultPoint, SingularSystemError
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
 
 # Degree of the zero polynomial.  A dedicated sentinel (never -1) keeps the
@@ -117,6 +123,19 @@ def conditions_to_dense(system: AssembledSystem) -> np.ndarray:
 # -- polynomial degrees and interpolation references -------------------------
 
 
+def poly_eval(coeffs, z: complex):
+    """Evaluate at a single point; broadcasts over leading axes."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    powers = np.asarray(z, dtype=np.complex128) ** np.arange(c.shape[-1])
+    return c @ powers
+
+
+def basis_residuals(system: AssembledSystem, basis: MatrixPoly) -> np.ndarray:
+    """All condition values against all basis columns, shape (rows, N, p)."""
+    vals = basis.eval_grid(system.order)
+    return np.einsum("rki,kij->rkj", system.weights, vals)
+
+
 def identity_poly(p: int) -> MatrixPoly:
     c = np.zeros((p, p, 1), dtype=np.complex128)
     c[:, :, 0] = np.eye(p)
@@ -205,3 +224,56 @@ def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
                         1e-13, False, [], engine.diag)
     ws.normalize()
     return MatrixPoly(ws.view())
+
+
+# -- the serial sweep on NumPy bookkeeping -----------------------------------
+
+
+def reference_step(ws, j: int, node: complex, mu: np.ndarray):
+    """``_Workspace.step`` with its column lengths kept by NumPy calls:
+    col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node)."""
+    lens = ws.lens
+    lj = int(lens[j])
+    if lj >= ws.c.shape[2]:
+        raise RuntimeError("workspace capacity exceeded")
+    head = ws.c[:, j, :lj].copy()
+    ws.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
+    ws.c[:, j, :lj] = -node * head
+    ws.c[:, j, 1:lj + 1] += head
+    np.maximum(lens, lj, out=lens, where=mu != 0.0)
+    lens[j] = lj + 1
+    ws.length = int(lens.max())
+
+
+def reference_serial_core(ws, nodes, weights, refs, col_degrees,
+                          pivot_threshold, defer, deferred, diag):
+    """``tanint._serial_core`` with the pivot choice and the degree ledger on
+    NumPy arrays.  Same signature, so it can be patched over the module's
+    sweep; the scalar sweep must match it bit for bit."""
+    for t in range(len(nodes)):
+        node = nodes[t]
+        length = ws.length
+        phi = weights[t] @ (ws.c[:, :, :length] @ (node ** np.arange(length)))
+        amax = np.abs(phi).max()
+        small = amax == 0.0
+        if not small:
+            cands = np.flatnonzero(col_degrees == col_degrees.min())
+            j = int(cands[np.argmax(np.abs(phi[cands]))])
+            small = abs(phi[j]) < pivot_threshold * amax
+        if small:
+            if not defer:
+                raise SingularSystemError(
+                    "pivot underflow while absorbing an interpolation condition"
+                )
+            k, row = refs[t]
+            deferred.append(DifficultPoint(
+                InterpolationCondition(node, np.array(weights[t]), row, k)))
+            continue
+        mu = -phi / phi[j]
+        mu[j] = 0.0
+        reference_step(ws, j, node, mu)
+        col_degrees[j] += 1
+        if (t + 1) % tanint._RESCALE_PERIOD == 0:
+            factor = ws.rescale()
+            if factor is not None and diag is not None:
+                diag.max_column_scale = max(diag.max_column_scale, factor)

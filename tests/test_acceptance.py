@@ -7,12 +7,14 @@ serial/recursive agreement, the extension search, the time-matched
 conjugate gradient table, and the nonuniform sampling comparison.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from helpers import rel_err
+from helpers import basis_residuals, rel_err
+from toepreg import tanint
 from toepreg.experiments import (
     VARIANTS,
     ExperimentConfig,
@@ -24,11 +26,11 @@ from toepreg.experiments import (
     run_complexity,
 )
 from toepreg.extension import assemble, opt_extend_detail
+from toepreg.fftpoly import MatrixPoly, next_fast_len
 from toepreg.nufft import NufftConfig, run_nufft
 from toepreg.solver import apply_normal_operator, dense_oracle, solve_tikhonov
 from toepreg.tanint import (
     TauState,
-    basis_residuals,
     extract_solution,
     rec_tan_int,
     serial_tan_int,
@@ -128,6 +130,43 @@ def test_complexity_shape():
         assert fit.r_squared > 0.99, (variant, fit)
         # n log^2 n predicts about 2.2-2.4 per doubling at these sizes
         assert medians[-1] / medians[-2] <= 2.7, (variant, medians)
+
+
+def test_transform_work_grows_as_n_log2_n(monkeypatch):
+    """The complexity claim on counted work instead of wall time.
+
+    Every combine product and weight update is counted at the names the
+    driver calls, as sum p^2 r log2 r over its transforms of length r on
+    p x p polynomial entries.  n log^2 n predicts a flat ratio c(n) / (n
+    log2^2 n) up to the slowly growing depth term (1.18x for general, 1.33x
+    for l2 and gramian across these sizes); an O(n^2) term would grow it
+    about 1.6x per doubling.
+    """
+    work = []
+    multiply, grid_eval = tanint.matpoly_multiply, tanint.grid_eval
+
+    def counted_multiply(a, b, extended=False):
+        ca = a.coeffs if isinstance(a, MatrixPoly) else np.asarray(a)
+        cb = b.coeffs if isinstance(b, MatrixPoly) else np.asarray(b)
+        r = next_fast_len(ca.shape[-1] + cb.shape[-1] - 1)
+        work.append(ca.shape[0] ** 2 * r * math.log2(r))
+        return multiply(a, b, extended)
+
+    def counted_grid_eval(coeffs, n_nodes, offset=0, stride=1):
+        r = n_nodes // stride
+        work.append(math.prod(np.shape(coeffs)[:-1]) * r * math.log2(r))
+        return grid_eval(coeffs, n_nodes, offset, stride)
+
+    monkeypatch.setattr(tanint, "matpoly_multiply", counted_multiply)
+    monkeypatch.setattr(tanint, "grid_eval", counted_grid_eval)
+    for variant in VARIANTS:
+        ratios = []
+        for n in (512, 1024, 2048, 4096):
+            rng = _trial_rng(71, "complexity", variant, n, 0)
+            work.clear()
+            solve_tikhonov(random_problem(variant, n, rng))
+            ratios.append(sum(work) / (n * math.log2(n) ** 2))
+        assert max(ratios) <= 1.5 * min(ratios), (variant, ratios)
 
 
 def test_every_solve_has_minimal_degree_structure(small_corpus, planted_corpus):

@@ -152,6 +152,11 @@ def test_non_finite_ridge_weight_exits_two(capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+def test_overflowing_ridge_weight_exits_two(capsys):
+    assert main(["solve", "--variant", "l2", "--n", "8", "--beta", "1e200"]) == 2
+    assert "beta" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--m", "--p"])
 def test_zero_block_rows_exit_two(capsys, flag):
     assert main(["solve", "--variant", "general", "--n", "8", flag, "0"]) == 2

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import column_tau_degrees, identity_poly
+from helpers import column_tau_degrees, identity_poly, poly_eval
 from toepreg.fftpoly import (
     MatrixPoly,
     grid_eval,
     matpoly_multiply,
     next_fast_len,
-    poly_eval,
     unit_roots,
 )
 

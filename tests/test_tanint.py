@@ -6,10 +6,13 @@ import pytest
 import toepreg.tanint as tanint
 from helpers import (
     NEG_INF,
+    basis_residuals,
     dense_tikhonov,
     full_basis_cleanup,
     identity_poly,
+    poly_eval,
     random_spec,
+    reference_serial_core,
     rel_err,
     residual,
     single_point_basis,
@@ -17,13 +20,12 @@ from helpers import (
 )
 from toepreg.experiments import random_problem
 from toepreg.extension import AssembledSystem, InterpolationCondition, assemble
-from toepreg.fftpoly import MatrixPoly, matpoly_multiply, poly_eval
+from toepreg.fftpoly import MatrixPoly, matpoly_multiply
 from toepreg.solver import apply_normal_operator
 from toepreg.tanint import (
     SingularSystemError,
     TanIntDiagnostics,
     TauState,
-    basis_residuals,
     extract_solution,
     rec_tan_int,
     serial_tan_int,
@@ -435,6 +437,178 @@ def test_recursive_final_degree_structure():
     rec_tan_int(system, ts)
     assert np.count_nonzero(ts.col_degrees == 0) == 1
     assert np.count_nonzero(ts.col_degrees == 1) == system.p - 1
+
+
+# ------------------------------------- scalar sweep against the reference
+
+def _clone(ws):
+    copy = tanint._Workspace(ws.c.shape[0], ws.c.shape[2])
+    copy.c[:] = ws.c
+    copy.lens[:] = ws.lens
+    copy.length = ws.length
+    return copy
+
+
+def _sweep(core, start, nodes, weights, col_degrees, threshold, defer):
+    """One sweep on a copy of ``start``; returns all it leaves behind,
+    including the message of a SingularSystemError it raised."""
+    ws = _clone(start)
+    cd = np.array(col_degrees, dtype=np.int64)
+    refs = [(t // 3, t % 3) for t in range(len(nodes))]
+    deferred, diag, error = [], TanIntDiagnostics(), None
+    try:
+        core(ws, nodes, weights, refs, cd, threshold, defer, deferred, diag)
+    except SingularSystemError as exc:
+        error = str(exc)
+    return ws, cd, deferred, diag, error
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_sweeps_match(start, nodes, weights, col_degrees,
+                         threshold=1e-8, defer=True):
+    """The scalar sweep and the NumPy reference leave the same bits."""
+    ws, cd, deferred, diag, error = _sweep(
+        tanint._serial_core, start, nodes, weights, col_degrees, threshold, defer)
+    ref_ws, ref_cd, ref_deferred, ref_diag, ref_error = _sweep(
+        reference_serial_core, start, nodes, weights, col_degrees, threshold, defer)
+    assert _same_bits(ws.c, ref_ws.c)
+    assert _same_bits(ws.lens, ref_ws.lens) and ws.length == ref_ws.length
+    assert _same_bits(cd, ref_cd)
+    assert ([(d.condition.index, d.condition.row_tag) for d in deferred]
+            == [(d.condition.index, d.condition.row_tag) for d in ref_deferred])
+    for d, ref in zip(deferred, ref_deferred):
+        assert _same_bits(d.condition.node, ref.condition.node)
+        assert _same_bits(d.condition.weights, ref.condition.weights)
+    assert _same_bits(diag.max_column_scale, ref_diag.max_column_scale)
+    assert error == ref_error
+    return ws, cd, deferred, diag, error
+
+
+def _sweep_inputs(system, order):
+    nodes, weights, _ = tanint._flatten(system.weights, system.nodes, order)
+    return nodes, weights, -system.tau
+
+
+@pytest.mark.parametrize("variant", ["general", "l2", "gramian"])
+def test_scalar_sweep_matches_reference_with_rescaling(variant):
+    # Adjacent nodes in natural order blow the columns up past the rescale
+    # trigger; the stride order the drivers use never reaches it here.
+    system = assemble(random_problem(variant, 64, np.random.default_rng(74)))
+    nodes, weights, col_degrees = _sweep_inputs(system, np.arange(system.order))
+    start = tanint._Workspace(system.p, len(nodes) + 1)
+    _, _, _, diag, _ = _assert_sweeps_match(start, nodes, weights, col_degrees)
+    assert diag.max_column_scale > 1e8
+
+
+def test_scalar_sweep_matches_reference_on_deferring_and_raising_sweeps():
+    system = assemble(_rect_problem(128, "m=n/4"))
+    nodes, weights, col_degrees = _sweep_inputs(
+        system, tanint._stride_order(system.order))
+    start = tanint._Workspace(system.p, len(nodes) + 1)
+    _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
+                                                col_degrees)
+    assert len(deferred) > 0.1 * len(nodes)
+    # Past the first deferral, so the raising sweep absorbs some first.
+    first = deferred[0].condition.index * 3 + deferred[0].condition.row_tag + 1
+    _, cd, _, _, error = _assert_sweeps_match(
+        start, nodes[first:], weights[first:], col_degrees, defer=False)
+    assert error is not None and not np.array_equal(cd, col_degrees)
+
+
+def test_scalar_sweep_matches_reference_on_planted_pivots():
+    # Columns 2 and 3 start higher, so only 0 and 1 may pivot: the first
+    # three conditions have a sub-threshold, a zero and no pivot at all,
+    # and an all-zero condition comes again mid-sweep.
+    rng = np.random.default_rng(75)
+    weights = crandn(rng, 24, 4)
+    weights[0] = [1e-10, 0.0, 1.0, 1.0]
+    weights[1] = [0.0, 0.0, 1.0, -1.0j]
+    weights[2] = 0.0
+    weights[13] = 0.0
+    nodes = np.exp(2j * np.pi * rng.uniform(size=24))
+    start = tanint._Workspace(4, 25)
+    _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
+                                                [0, 0, 2, 2])
+    assert [d.condition.index * 3 + d.condition.row_tag
+            for d in deferred][:4] == [0, 1, 2, 13]
+    _, cd, _, _, error = _assert_sweeps_match(start, nodes, weights,
+                                              [0, 0, 2, 2], defer=False)
+    assert error is not None and cd.tolist() == [0, 0, 2, 2]
+    _, cd, _, _, error = _assert_sweeps_match(start, nodes[3:], weights[3:],
+                                              [0, 0, 2, 2], defer=False)
+    assert error is not None and cd.sum() == 4 + 10
+
+
+def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
+    # Against the identity, phi is the weight row itself.  Two candidates of
+    # equal magnitude: the first pivots.
+    rng = np.random.default_rng(77)
+    start = tanint._Workspace(4, 9)
+    one = np.array([1.0j])
+    _, cd, _, _, _ = _assert_sweeps_match(
+        start, one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2])
+    assert cd.tolist() == [1, 0, 2, 2]
+    # Conditions blind to columns 2 and 3 give them mu = 0 at every step,
+    # so they are never mixed and keep length 1.
+    weights = np.zeros((8, 4), dtype=np.complex128)
+    weights[:, :2] = crandn(rng, 8, 2)
+    nodes = np.exp(2j * np.pi * rng.uniform(size=8))
+    ws, _, _, _, _ = _assert_sweeps_match(start, nodes, weights, [0, 0, 9, 9])
+    assert ws.lens.tolist() == [5, 5, 1, 1]
+    # A pivot magnitude on the threshold's last bit, where NumPy's
+    # vectorized and scalar complex abs can round apart (they do on AVX-512
+    # hosts), so the deferral rests on which of the two the sweep takes.
+    values = 1e-3 * crandn(rng, 64)
+    apart = np.flatnonzero(np.abs(values) != [abs(v) for v in values])
+    for v in values[apart[:4]] if apart.size else values[:1]:
+        edge = max(np.abs(v[None])[0], abs(v))
+        _assert_sweeps_match(start, one, np.array([[v, 0.0, 1.0, 0.0]]),
+                             [0, 0, 2, 2], threshold=edge)
+
+
+def test_scalar_sweep_matches_reference_from_a_full_basis():
+    # The cleanup reference starts from a finished basis with every column
+    # at full length; a continued sweep starts from uneven column lengths.
+    rng = np.random.default_rng(76)
+    p, length, count = 5, 9, 40
+    start = tanint._Workspace(p, length + 2 * count + 1)
+    start.c[:, :, :length] = crandn(rng, p, p, length)
+    start.lens[:] = length
+    start.length = length
+    nodes = np.exp(2j * np.pi * rng.uniform(size=count))
+    weights = crandn(rng, count, p)
+    col_degrees = [1, 0, 1, 1, 0]
+    ws, cd, _, _, error = _assert_sweeps_match(
+        start, nodes, weights, col_degrees, threshold=1e-13, defer=False)
+    assert error is None and ws.lens.min() < ws.length
+    _assert_sweeps_match(ws, nodes[::-1], crandn(rng, count, p), cd)
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: random_problem("general", 512, np.random.default_rng(7)),
+    lambda: _rect_problem(128, "p=1"),
+], ids=["leaf-retries", "deferred-cleanup"])
+def test_scalar_sweep_gives_reference_bits_end_to_end(monkeypatch, problem):
+    system = assemble(problem())
+    found = []
+    for core in (tanint._serial_core, reference_serial_core):
+        monkeypatch.setattr(tanint, "_serial_core", core)
+        ts, diag = TauState.from_tau(system.tau), TanIntDiagnostics()
+        basis, deferred = rec_tan_int(system, ts, diagnostics=diag)
+        serial_ts = TauState.from_tau(system.tau)
+        serial, _ = serial_tan_int(system, serial_ts)
+        found.append((basis.coeffs, ts.col_degrees, diag.as_dict(),
+                      [(d.condition.index, d.condition.row_tag) for d in deferred],
+                      serial.coeffs, serial_ts.col_degrees))
+    new, ref = found
+    assert new[2]["leaf_retries"] + new[2]["difficult_points"] > 0
+    assert new[2:4] == ref[2:4]
+    for a, b in zip(new[:2] + new[4:], ref[:2] + ref[4:]):
+        assert _same_bits(a, b)
 
 
 # -------------------------------------------------------------- extraction

@@ -203,6 +203,15 @@ def test_problem_spec_rejects_non_finite(field, bad):
             ProblemSpec.l2(t, bad, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("beta", [1e200, complex(1e160, -1e160), 1.7e308 + 1.7e308j])
+def test_problem_spec_rejects_ridge_weight_whose_square_overflows(beta):
+    t = identity_spec(2)
+    with pytest.raises(ValueError, match="beta"):
+        ProblemSpec.l2(t, beta, [1.0, 2.0])
+    # a large weight whose square stays finite still builds
+    assert ProblemSpec.l2(t, 1e154, [1.0, 2.0]).beta_sq == 1e154 ** 2
+
+
 def test_normal_rhs_vector_general_matches_dense():
     rng = np.random.default_rng(14)
     t = random_spec(rng, 6, 4)
