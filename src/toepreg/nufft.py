@@ -10,6 +10,7 @@ gradients on an ill-conditioned but structured real-world shape.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -47,11 +48,20 @@ class NufftConfig:
     n_lim: int = 256
     compute_condition: bool = False
 
+    def __post_init__(self):
+        for name in ("n", "samples", "components"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not math.isfinite(self.f_max):
+            raise ValueError(f"f_max must be finite, got {self.f_max}")
+
 
 def voronoi_weights(freqs: np.ndarray) -> np.ndarray:
     """Half-gap quadrature weights on the unit frequency circle; sums to 1."""
     freqs = np.asarray(freqs, dtype=np.float64)
     k = freqs.size
+    if k == 0:
+        raise ValueError("voronoi_weights needs at least one frequency")
     order = np.argsort(freqs)
     sorted_f = freqs[order]
     gaps = np.empty(k)
@@ -63,18 +73,40 @@ def voronoi_weights(freqs: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _phase_factors(freqs, n: int, sign: int):
+    """Split phases of exp(sign 2 pi i f_k s) for s < n, written s = q B + r.
+
+    B = ceil(sqrt(n)) and Q = ceil(n / B).  Returns lo (K, B) with
+    lo[k, r] = exp(sign 2 pi i f_k r) and hi (K, Q) with
+    hi[k, q] = exp(sign 2 pi i f_k q B), so the K x n table is
+    hi[k, q] * lo[k, r] from K (B + Q) <= 2 K ceil(sqrt(n)) exponentials.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    b = math.isqrt(max(n - 1, 0)) + 1
+    q = -(-n // b)
+    coef = sign * 2j * np.pi
+    lo = np.exp(coef * np.outer(freqs, np.arange(b)))
+    hi = np.exp(coef * np.outer(freqs, b * np.arange(q)))
+    return lo, hi
+
+
 def sample_matrix(freqs: np.ndarray, n: int) -> np.ndarray:
     """Dense evaluation matrix, entry (k, s) = exp(-2 pi i f_k s)."""
-    return np.exp(-2j * np.pi * np.outer(freqs, np.arange(n)))
+    lo, hi = _phase_factors(freqs, n, -1)
+    full = (hi[:, :, None] * lo[:, None, :]).reshape(lo.shape[0], -1)
+    return np.ascontiguousarray(full[:, :n])
 
 
 def weighted_fourier_gramian(freqs, weights, n: int) -> HermitianToeplitzSpec:
-    """First column of A^H W A without forming A; depends only on lags."""
-    freqs = np.asarray(freqs, dtype=np.float64)
+    """First column of A^H W A, entry d = sum_k w_k exp(2 pi i f_k d).
+
+    It depends only on the lag d.  With d = q B + r it is the (q, r) entry
+    of the (Q x K) @ (K x B) product of the split phase factors, so neither
+    A nor any K x n table of exponentials is formed.
+    """
     weights = np.asarray(weights, dtype=np.float64)
-    lags = np.arange(n)
-    col = np.einsum("k,kd->d", weights + 0j,
-                    np.exp(2j * np.pi * np.outer(freqs, lags)))
+    lo, hi = _phase_factors(freqs, n, 1)
+    col = ((weights[:, None] * hi).T @ lo).reshape(-1)[:n]
     return HermitianToeplitzSpec(n, col)
 
 

@@ -491,7 +491,8 @@ def extract_solution(basis: MatrixPoly, tau_state: TauState, n: int) -> np.ndarr
     """Read the solution out of the unique shifted-degree-zero column.
 
     The column's constant slot (last row, degree zero) must be nonzero; the
-    solution is the first row's coefficient segment divided by it.
+    solution is the first row's coefficient segment divided by it, and it
+    must come out finite.
     """
     cd = tau_state.col_degrees
     zero_cols = np.flatnonzero(cd == 0)
@@ -508,4 +509,7 @@ def extract_solution(basis: MatrixPoly, tau_state: TauState, n: int) -> np.ndarr
     x = np.zeros(n, dtype=np.complex128)
     take = min(n, col.size)
     x[:take] = col[:take]
-    return x / const
+    x /= const
+    if not np.isfinite(x).all():
+        raise SingularSystemError("solution has non-finite entries")
+    return x

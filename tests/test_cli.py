@@ -17,7 +17,8 @@ import pytest
 import toepreg
 from helpers import dense_tikhonov, random_spec
 from toepreg.cli import main
-from toepreg.toeplitz import ProblemSpec, spec_to_json, vector_to_json
+from toepreg.experiments import random_problem
+from toepreg.toeplitz import ProblemSpec, ToeplitzSpec, spec_to_json, vector_to_json
 
 
 def write_json(path, obj):
@@ -257,6 +258,39 @@ def test_nufft_subcommand(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["n"] == 32
     assert len(report["x_direct_re"]) == 32
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--n", "0"], "n"),
+    (["--samples", "0"], "samples"),
+    (["--components", "0"], "components"),
+    (["--components", "-1"], "components"),
+    (["--f-max", "inf"], "f_max"),
+    (["--f-max", "nan"], "f_max"),
+])
+def test_nufft_rejects_bad_config(flags, field, capsys):
+    code = main(["nufft", "--n", "16", "--samples", "16", "--nlim", "16"] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert "Traceback" not in err
+
+
+def test_solve_overflowing_files_exit_3(tmp_path, capsys):
+    # Finite inputs whose solve overflows to a non-finite solution.
+    base = random_problem("general", 64, np.random.default_rng(5))
+    scale = 1e300
+    files = {
+        "--input": spec_to_json(ToeplitzSpec(base.T.rows, base.T.cols, base.T.gen * scale)),
+        "--reg": spec_to_json(ToeplitzSpec(base.L.rows, base.L.cols, base.L.gen * scale)),
+        "--b": vector_to_json(base.b * scale),
+    }
+    args = ["solve", "--variant", "general"]
+    for flag, obj in files.items():
+        args += [flag, write_json(tmp_path / f"{flag[2:]}.json", obj)]
+    with np.errstate(all="ignore"):
+        assert main(args) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_console_script_help():

@@ -1,7 +1,10 @@
 """Nonuniform sampling driver: quadrature weights, the weighted sample
 Gramian, and the end-to-end reconstruction report."""
 
+import math
+
 import numpy as np
+import pytest
 
 from toepreg.nufft import (
     NufftConfig,
@@ -122,3 +125,72 @@ def test_run_nufft_condition_estimate():
     cfg = NufftConfig(n=32, samples=48, seed=1, n_lim=32, compute_condition=True)
     out = run_nufft(cfg)
     assert out["condition"] >= 1.0
+
+
+def direct_phases(freqs, n, sign):
+    """Reference table exp(sign 2 pi i f_k s), one exponential per entry."""
+    return np.exp(sign * 2j * np.pi * np.outer(freqs, np.arange(n)))
+
+
+@pytest.mark.parametrize("k", [1, 5, 300])
+@pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 1000, 1024])
+def test_split_phases_match_direct_formula(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    freqs = rng.triangular(-0.5, 0.0, 0.5, size=k)
+    weights = voronoi_weights(freqs)
+    a = sample_matrix(freqs, n)
+    assert a.shape == (k, n) and a.dtype == np.complex128
+    assert a.flags.c_contiguous
+    assert np.abs(a - direct_phases(freqs, n, -1)).max() <= 1e-12
+    col = weighted_fourier_gramian(freqs, weights, n).gen
+    ref = weights @ direct_phases(freqs, n, 1)
+    ref[0] = ref[0].real
+    assert np.abs(col - ref).max() <= 1e-12
+
+
+def test_sample_matrix_without_columns():
+    a = sample_matrix(np.array([0.1, -0.2, 0.3]), 0)
+    assert a.shape == (3, 0) and a.dtype == np.complex128
+    assert a.flags.c_contiguous
+
+
+def test_gramian_matches_dense_product_off_square():
+    # 23 is no multiple of ceil(sqrt(23)) = 5, so the last block is cut.
+    rng = np.random.default_rng(37)
+    freqs = rng.triangular(-0.5, 0.0, 0.5, size=61)
+    weights = voronoi_weights(freqs)
+    n = 23
+    a = sample_matrix(freqs, n)
+    dense = a.conj().T @ (weights[:, None] * a)
+    gram = materialize(weighted_fourier_gramian(freqs, weights, n).as_toeplitz())
+    assert np.abs(gram - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_phase_tables_take_two_sqrt_n_exponentials_a_row(n, monkeypatch):
+    # Deterministic cost guard: count the arguments handed to np.exp.  The
+    # direct formula takes K n of them; the split takes K (B + Q) with
+    # B = Q = ceil(sqrt(n)) here.  K stays at 1024 so that the dense
+    # sample matrix at n = 4096 is 64 MiB.
+    k = 1024
+    freqs = np.random.default_rng(38).triangular(-0.5, 0.0, 0.5, size=k)
+    weights = voronoi_weights(freqs)
+    bound = k * (2 * math.isqrt(n - 1) + 3)
+    real_exp = np.exp
+    counted = []
+
+    def counting_exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    sample_matrix(freqs, n)
+    assert 0 < sum(counted) <= bound
+    counted.clear()
+    weighted_fourier_gramian(freqs, weights, n)
+    assert 0 < sum(counted) <= bound
+
+
+def test_voronoi_weights_rejects_empty():
+    with pytest.raises(ValueError, match="at least one frequency"):
+        voronoi_weights(np.array([]))

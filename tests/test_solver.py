@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_tikhonov, identity_spec, random_spec, rel_err
+from toepreg import experiments
 from toepreg.solver import (
     CGConfig,
     NormalOperator,
@@ -15,7 +16,7 @@ from toepreg.solver import (
     dense_oracle,
     solve_tikhonov,
 )
-from toepreg.tanint import TauState, extract_solution
+from toepreg.tanint import SingularSystemError, TauState, extract_solution
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 
@@ -126,6 +127,20 @@ def test_solve_is_deterministic():
     first = solve_tikhonov(problem).x_hat
     second = solve_tikhonov(problem).x_hat
     assert np.array_equal(first, second)
+
+
+def test_non_finite_solution_raises():
+    # Finite data near the top of the double range: the solve overflows
+    # inside and used to return an all-NaN x_hat with a nan residual.
+    base = experiments.random_problem("general", 64, np.random.default_rng(5))
+    scale = 1e300
+    problem = ProblemSpec.general(
+        ToeplitzSpec(base.T.rows, base.T.cols, base.T.gen * scale),
+        ToeplitzSpec(base.L.rows, base.L.cols, base.L.gen * scale),
+        base.b * scale)
+    with np.errstate(all="ignore"), pytest.raises(SingularSystemError,
+                                                  match="non-finite"):
+        solve_tikhonov(problem)
 
 
 def test_config_controls_recursion():
