@@ -1,6 +1,6 @@
 """Fast solvers for Tikhonov-regularized Toeplitz least squares."""
 
-from .extension import AssembledSystem, assemble, opt_extend, opt_extend_detail
+from .extension import AssembledSystem, assemble, opt_extend
 from .nufft import NufftConfig, run_nufft
 from .solver import (
     CGConfig,
@@ -13,13 +13,10 @@ from .solver import (
     solve_tikhonov,
 )
 from .tanint import (
-    DifficultPoint,
     SingularSystemError,
     TanIntDiagnostics,
-    TauState,
     extract_solution,
     rec_tan_int,
-    serial_tan_int,
 )
 from .toeplitz import (
     HermitianToeplitzSpec,
@@ -37,7 +34,6 @@ __all__ = [
     "AssembledSystem",
     "assemble",
     "opt_extend",
-    "opt_extend_detail",
     "NufftConfig",
     "run_nufft",
     "CGConfig",
@@ -48,13 +44,10 @@ __all__ = [
     "cg_solve",
     "dense_oracle",
     "solve_tikhonov",
-    "DifficultPoint",
     "SingularSystemError",
     "TanIntDiagnostics",
-    "TauState",
     "extract_solution",
     "rec_tan_int",
-    "serial_tan_int",
     "HermitianToeplitzSpec",
     "ProblemSpec",
     "ToeplitzSpec",

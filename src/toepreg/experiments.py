@@ -51,6 +51,12 @@ class ExperimentConfig:
     seed: int = 2024
     n_lim: int = 256
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not self.sizes:
+            raise ValueError("sizes must name at least one size")
+
     def solver_config(self) -> SolverConfig:
         return SolverConfig(n_lim=self.n_lim)
 

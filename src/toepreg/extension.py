@@ -17,11 +17,16 @@ row i     s_i = B_i x up to the fill g_i, with s_i as tall as B_i
 bounds    [n, rows_i..., N - n, N - rows_i..., 1]
 
 The g_i are free fill blocks absorbing the circulant wrap-around.
+
+One sizing rule and one fill rule.  ``opt_extend`` pads n_tilde to
+N = 2**p * M with interleaved leaf pairs in mind: 2 * rows * M <= n_lim,
+and M stays even through every halving.  The k = N - n_tilde new outward
+diagonals of each block's generator are zero for k <= 1 and echo the
+generator cyclically beyond.  ``assemble`` records the ``n_lim`` it sized
+the extension for, and the interpolation tree splits by that same budget.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,73 +35,51 @@ from .toeplitz import ProblemSpec, ToeplitzSpec, adjoint_spec
 
 __all__ = [
     "opt_extend",
-    "opt_extend_detail",
     "extended_generating_sequence",
-    "InterpolationCondition",
     "AssembledSystem",
     "assemble",
 ]
 
 
-def opt_extend_detail(n_tilde: int, n_lim: int, rows: int = 3,
-                      paired: bool = True, force_even: bool = True):
+def opt_extend(n_tilde: int, n_lim: int, rows: int = 3):
     """Choose the extension count k so that N = n_tilde + k splits evenly.
 
-    N factors as 2**p * M with the leaf size M small enough that a leaf's
-    condition count fits the serial budget: rows*M <= n_lim, or twice that
-    bound when leaves come in interleaved pairs.  Returns (k, p, M).
+    N factors as 2**p * M with the leaf size M small enough that an
+    interleaved pair of leaves fits the serial budget: 2*rows*M <= n_lim.
+    M is rounded up to even after every halving, so the split into coset
+    pairs always has two classes to pair.  Returns (k, p, M).
     """
     if n_tilde < 1:
         raise ValueError("system size must be positive")
     if n_lim < rows:
         raise ValueError("serial budget must allow at least one node per row")
-    factor = 2 * rows if paired else rows
-
-    def small_enough(m: int) -> bool:
-        return factor * m <= n_lim
-
     p, m = 0, n_tilde
-    while not small_enough(m):
-        if m <= (2 if force_even else 1):
+    while 2 * rows * m > n_lim:
+        if m <= 2:
             raise ValueError("serial budget too small to terminate the split")
         p += 1
         m = (m + 1) // 2
-        if force_even and m % 2:
+        if m % 2:
             m += 1
     k = (1 << p) * m - n_tilde
     return k, p, m
 
 
-def opt_extend(n_tilde: int, n_lim: int, rows: int = 3,
-               paired: bool = True, force_even: bool = True) -> int:
-    return opt_extend_detail(n_tilde, n_lim, rows, paired, force_even)[0]
-
-
-def _fill_for(policy: str, k: int) -> str:
-    if policy == "auto":
-        return "zero" if k <= 1 else "echo"
-    if policy in ("zero", "echo"):
-        return policy
-    raise ValueError(f"unknown fill policy {policy!r}")
-
-
-def extended_generating_sequence(spec: ToeplitzSpec, k: int,
-                                 fill: str = "auto") -> np.ndarray:
+def extended_generating_sequence(spec: ToeplitzSpec, k: int) -> np.ndarray:
     """Generator of the order rows+cols-1+k circulant containing the block.
 
     The genuine block keeps its bottom-right position; the k new outward
-    diagonals are zero or echo the generator cyclically.  Any choice keeps
-    the extended system's null space one-dimensional, but echo fill avoids
-    the near-singular extensions a run of zeros can produce.  The solver
-    uses the default ``auto`` policy: zero fill for k <= 1, echo beyond.
+    diagonals are zero for k <= 1 and echo the generator cyclically beyond.
+    Any fill keeps the extended system's null space one-dimensional, but
+    echo fill avoids the near-singular extensions a run of zeros can
+    produce.
     """
     gen = spec.gen
     if k < 0:
         raise ValueError("extension count must be nonnegative")
     if k == 0:
         return gen.copy()
-    mode = _fill_for(fill, k)
-    if mode == "zero":
+    if k == 1:
         head = np.zeros(k, dtype=np.complex128)
     else:
         head = gen[np.arange(k) % gen.size][::-1]
@@ -123,31 +106,21 @@ def _rhs_spectrum(rhs: np.ndarray, order: int) -> np.ndarray:
     return grid_eval(c, order)
 
 
-@dataclass(frozen=True)
-class InterpolationCondition:
-    """One scalar condition: weights . q(node) = 0 for the stacked columns."""
-
-    node: complex
-    weights: np.ndarray
-    row_tag: int
-    index: int
-
-
 class AssembledSystem:
     """All tangential interpolation data for one problem instance.
 
     weights has shape (rows, N, p); condition (row, k) requires the unknown
     vector polynomial q to satisfy weights[row, k] . q(nodes[k]) = 0.  Column
     degree bounds encode the block widths; slot 0 carries the solution and
-    the last slot the constant.
+    the last slot the constant.  ``n_lim`` is the leaf budget the order was
+    sized for.
     """
 
-    solution_slot = 0
-
-    def __init__(self, variant, n, order, degree_bounds, weights):
+    def __init__(self, variant, n, order, degree_bounds, weights, n_lim):
         self.variant = variant
         self.n = n
         self.order = order
+        self.n_lim = n_lim
         self.degree_bounds = np.asarray(degree_bounds, dtype=np.int64)
         self.tau = self.degree_bounds - 1
         self.weights = weights
@@ -161,13 +134,6 @@ class AssembledSystem:
     def p(self) -> int:
         return self.weights.shape[2]
 
-    @property
-    def const_slot(self) -> int:
-        return self.p - 1
-
-    def condition(self, row: int, k: int) -> InterpolationCondition:
-        return InterpolationCondition(self.nodes[k], self.weights[row, k].copy(), row, k)
-
 
 def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     """Node weights and degree bounds in the row layout of the module
@@ -175,7 +141,7 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     factors = problem.factors
     k = len(factors)
     n, n_tilde = problem.n, problem.n_tilde
-    order = n_tilde + opt_extend(n_tilde, n_lim, rows=k + 1)
+    order = n_tilde + opt_extend(n_tilde, n_lim, rows=k + 1)[0]
     nodes = unit_roots(order)
     w = np.zeros((k + 1, order, 2 * k + 3), dtype=np.complex128)
     if problem.variant == "l2":
@@ -191,4 +157,4 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     w[0, :, -1] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     rows = [block.rows for block in factors]
     bounds = [n, *rows, order - n, *(order - r for r in rows), 1]
-    return AssembledSystem(problem.variant, n, order, bounds, w)
+    return AssembledSystem(problem.variant, n, order, bounds, w, n_lim)

@@ -104,10 +104,6 @@ class MatrixPoly:
     def length(self) -> int:
         return self.coeffs.shape[2]
 
-    def eval_grid(self, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndarray:
-        """Values on a node coset with the node axis first: (count, p, p)."""
-        return np.moveaxis(grid_eval(self.coeffs, n_nodes, offset, stride), -1, 0)
-
     def trimmed(self, rel_tol: float = 1e-14) -> "MatrixPoly":
         return MatrixPoly(_trim_tail(self.coeffs, rel_tol).copy())
 

@@ -52,8 +52,8 @@ class NufftConfig:
         for name in ("n", "samples", "components"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not math.isfinite(self.f_max):
-            raise ValueError(f"f_max must be finite, got {self.f_max}")
+        if not math.isfinite(self.f_max) or self.f_max < 0:
+            raise ValueError(f"f_max must be finite and nonnegative, got {self.f_max}")
 
 
 def voronoi_weights(freqs: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .extension import assemble
 from .fftpoly import MatrixPoly, next_fast_len
-from .tanint import TanIntDiagnostics, TauState, extract_solution, rec_tan_int
+from .tanint import TanIntDiagnostics, extract_solution, rec_tan_int
 from .toeplitz import (
     ProblemSpec,
     adjoint_spec,
@@ -60,10 +60,9 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
     cfg = config or SolverConfig()
     start = time.perf_counter()
     system = assemble(problem, n_lim=cfg.n_lim)
-    state = TauState.from_tau(system.tau)
     diag = TanIntDiagnostics()
-    basis, _ = rec_tan_int(system, state, n_lim=cfg.n_lim, diagnostics=diag)
-    x = extract_solution(basis, state, problem.n)
+    basis, col_degrees, _ = rec_tan_int(system, diagnostics=diag)
+    x = extract_solution(basis, col_degrees, problem.n)
     wall = time.perf_counter() - start
     rhs = problem.normal_rhs_vector()
     denom = float(np.linalg.norm(rhs))
@@ -71,7 +70,7 @@ def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveRe
     rel /= denom if denom > 0.0 else 1.0
     return SolveReport(x_hat=x, variant=problem.variant, wall_time=wall,
                        relative_residual=rel, diagnostics=diag,
-                       final_col_degrees=state.col_degrees.copy(), basis=basis)
+                       final_col_degrees=col_degrees, basis=basis)
 
 
 def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:

@@ -26,12 +26,18 @@ ledger, column lengths, deferral) runs on Python scalars and takes the same
 decisions, so the sweep's output is bit for bit what an all-NumPy loop
 gives.
 
-A condition whose pivot underflows in a leaf is deferred.  After the tree,
-the cleanup pass absorbs the deferred conditions in batches of at most
-``n_lim``: each batch is swept like a leaf, against its weights
-premultiplied by the finished basis, and folded in by one combine product.
-A deferred condition thus costs one more leaf-sized sweep, not a step over
-the full-length basis.
+A condition whose pivot underflows in a leaf is deferred, and recorded as
+the plain ``(index, row)`` ref naming its node and weight row.  After the
+tree, the cleanup pass absorbs the deferred conditions, in sorted ref order
+then stride order, in batches of at most the system's ``n_lim``: each batch
+is swept like a leaf, against its weights premultiplied by the finished
+basis, and folded in by one combine product.  A deferred condition thus
+costs one more leaf-sized sweep, not a step over the full-length basis.
+
+The column degrees are a plain int64 array that starts at ``-tau`` and is
+raised in place as conditions are absorbed; the leaf budget is the
+``n_lim`` that ``assemble`` sized the circulant extension for, read from
+the system, so the extension and the tree's split cannot disagree.
 """
 
 from __future__ import annotations
@@ -41,15 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import AssembledSystem, InterpolationCondition
+from .extension import AssembledSystem
 from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply
 
 __all__ = [
     "SingularSystemError",
-    "TauState",
-    "DifficultPoint",
     "TanIntDiagnostics",
-    "serial_tan_int",
     "rec_tan_int",
     "extract_solution",
 ]
@@ -66,29 +69,6 @@ _PIVOT_THRESHOLD = 1e-8
 
 class SingularSystemError(RuntimeError):
     """The interpolation data does not determine a unique solution."""
-
-
-@dataclass
-class TauState:
-    """Shifted degree ledger.  col_degrees is mutated in place as conditions
-    are absorbed; it starts at -tau and ends, for a solvable system, at
-    exactly one zero and ones elsewhere."""
-
-    tau: np.ndarray
-    col_degrees: np.ndarray
-
-    @classmethod
-    def from_tau(cls, tau) -> "TauState":
-        t = np.asarray(tau, dtype=np.int64).copy()
-        return cls(tau=t, col_degrees=-t)
-
-
-@dataclass(frozen=True)
-class DifficultPoint:
-    """A condition skipped because no admissible pivot stood out."""
-
-    condition: InterpolationCondition
-    reason: str = "pivot-underflow"
 
 
 @dataclass
@@ -179,12 +159,14 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                  defer, deferred, diag):
     """Absorb the given conditions in order into the workspace.
 
-    The pivot is the first largest of ``np.abs(phi)`` among the lowest
-    columns, as an argmax over them picks it, and the threshold test takes
-    the pivot's scalar ``abs``.  NumPy's vectorized complex abs and the
-    scalar one can round apart in the last bit, so neither stands in for
-    the other.  The degree ledger is a list of ints, written back into
-    ``col_degrees`` in place when the sweep ends or raises.
+    A condition without an admissible pivot raises, or with ``defer`` has
+    its ``refs`` entry appended to ``deferred``.  The pivot is the first
+    largest of ``np.abs(phi)`` among the lowest columns, as an argmax over
+    them picks it, and the threshold test takes the pivot's scalar ``abs``.
+    NumPy's vectorized complex abs and the scalar one can round apart in
+    the last bit, so neither stands in for the other.  The degree ledger is
+    a list of ints, written back into ``col_degrees`` in place when the
+    sweep ends or raises.
     """
     cd = col_degrees.tolist()
     cols = range(len(cd))
@@ -207,9 +189,7 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                     raise SingularSystemError(
                         "pivot underflow while absorbing an interpolation condition"
                     )
-                k, row = refs[t]
-                deferred.append(DifficultPoint(
-                    InterpolationCondition(node, np.array(weights[t]), row, k)))
+                deferred.append(refs[t])
                 continue
             mu = -phi / phi[j]
             mu[j] = 0.0
@@ -285,34 +265,6 @@ def _flatten(weights, nodes, order):
     return np.repeat(nodes[order], rows), sub, refs
 
 
-def serial_tan_int(source, tau_state: TauState = None, defer: bool = True):
-    """One-pass reference driver.  Returns (basis, deferred conditions).
-
-    ``source`` is an AssembledSystem (all conditions, node-major) or an
-    explicit sequence of InterpolationCondition.  tau_state.col_degrees is
-    mutated; pass a fresh state to re-run.
-    """
-    if isinstance(source, AssembledSystem):
-        if tau_state is None:
-            tau_state = TauState.from_tau(source.tau)
-        nodes, weights, refs = _flatten(source.weights, source.nodes,
-                                        _stride_order(source.order))
-    else:
-        conds = list(source)
-        if tau_state is None:
-            raise ValueError("tau_state is required with explicit conditions")
-        nodes = np.array([c.node for c in conds])
-        weights = np.array([c.weights for c in conds])
-        refs = [(c.index, c.row_tag) for c in conds]
-    p = tau_state.col_degrees.size
-    ws = _Workspace(p, len(nodes) + 1)
-    deferred = []
-    _serial_core(ws, nodes, weights, refs, tau_state.col_degrees,
-                 _PIVOT_THRESHOLD, defer, deferred, None)
-    ws.normalize()
-    return MatrixPoly(ws.view()), deferred
-
-
 class _Engine:
     """Divide and conquer over node cosets with paired interleaving.
 
@@ -323,15 +275,14 @@ class _Engine:
     each folded in by one combine product like a further right subtree.
     """
 
-    def __init__(self, system, tau_state, n_lim, diag):
-        self.system = system
+    def __init__(self, system, diag):
         self.order = system.order
         self.rows = system.rows
         self.weights = system.weights.copy()
         self.pristine = system.weights
         self.nodes = system.nodes
-        self.col_degrees = tau_state.col_degrees
-        self.n_lim = n_lim
+        self.col_degrees = -system.tau
+        self.n_lim = system.n_lim
         self.diag = diag
         self.deferred = []
 
@@ -342,7 +293,7 @@ class _Engine:
         self.diag.difficult_points = len(self.deferred)
         # Leaves, combines, and the cleanup pass each leave their output
         # column-normalized; rescaling again here would only perturb low bits
-        # and break bitwise agreement with the serial driver below n_lim.
+        # and break bitwise agreement with a single serial sweep below n_lim.
         return basis
 
     # -- tree walk ---------------------------------------------------------
@@ -422,9 +373,8 @@ class _Engine:
             w_chk = w_in
             if deferred:
                 w_chk = w_in.copy()
-                for d in deferred:
-                    w_chk[d.condition.row_tag,
-                          np.searchsorted(idx, d.condition.index)] = 0.0
+                for k, row in deferred:
+                    w_chk[row, np.searchsorted(idx, k)] = 0.0
             res = _self_residual(coeffs, self.nodes[idx], w_chk, scale)
             if best is None or res < best[0]:
                 best = (res, coeffs, cd, deferred, factor)
@@ -442,25 +392,23 @@ class _Engine:
     def _cleanup(self, basis: MatrixPoly) -> MatrixPoly:
         """Absorb the deferred conditions into the finished basis.
 
-        The points, in stride order, go in batches of at most ``n_lim``
-        conditions.  Each batch is a right subtree of its own: its pristine
-        weights are premultiplied by the current basis (one evaluation on
-        the node grid), swept into a fresh leaf-sized workspace, and the
-        batch basis is folded in by one product, exactly as ``_rec``
-        combines.  A deferred condition thus costs one more leaf-sized
+        The refs, sorted and then in stride order, go in batches of at most
+        ``n_lim`` conditions.  Each batch is a right subtree of its own: its
+        pristine weights are premultiplied by the current basis (one
+        evaluation on the node grid), swept into a fresh leaf-sized
+        workspace, and the batch basis is folded in by one product, exactly
+        as ``_rec`` combines.  A deferred condition thus costs one more leaf-sized
         sweep, not a step over the full basis.  Against the full basis the
         once-ambiguous pivots are decided; any residual underflow here is a
         genuinely singular system.
         """
         if not self.deferred:
             return basis
-        points = sorted(self.deferred,
-                        key=lambda d: (d.condition.index, d.condition.row_tag))
+        points = sorted(self.deferred)
         points = [points[i] for i in _stride_order(len(points))]
         p = self.weights.shape[2]
         for start in range(0, len(points), self.n_lim):
-            refs = [(d.condition.index, d.condition.row_tag)
-                    for d in points[start:start + self.n_lim]]
+            refs = points[start:start + self.n_lim]
             index, row = np.array(refs).T
             vals = grid_eval(basis.coeffs, self.order)[:, :, index]
             weights = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
@@ -475,27 +423,30 @@ class _Engine:
         return basis
 
 
-def rec_tan_int(system: AssembledSystem, tau_state: TauState = None,
-                n_lim: int = 256, diagnostics: TanIntDiagnostics = None):
-    """Fast driver.  Returns (basis, difficult points encountered)."""
-    if tau_state is None:
-        tau_state = TauState.from_tau(system.tau)
+def rec_tan_int(system: AssembledSystem, diagnostics: TanIntDiagnostics = None):
+    """Fast driver over leaves of at most ``system.n_lim`` conditions.
+
+    Returns (basis, col_degrees, deferred): the column-normalized basis,
+    its final shifted column degrees as an int64 array that starts from
+    ``-system.tau``, and the ``(index, row)`` refs of the conditions the
+    leaves deferred to the cleanup pass.
+    """
     if diagnostics is None:
         diagnostics = TanIntDiagnostics()
-    engine = _Engine(system, tau_state, n_lim, diagnostics)
+    engine = _Engine(system, diagnostics)
     basis = engine.run()
-    return basis, engine.deferred
+    return basis, engine.col_degrees, engine.deferred
 
 
-def extract_solution(basis: MatrixPoly, tau_state: TauState, n: int) -> np.ndarray:
+def extract_solution(basis: MatrixPoly, col_degrees: np.ndarray, n: int) -> np.ndarray:
     """Read the solution out of the unique shifted-degree-zero column.
 
-    The column's constant slot (last row, degree zero) must be nonzero; the
-    solution is the first row's coefficient segment divided by it, and it
-    must come out finite.
+    ``col_degrees`` is the array ``rec_tan_int`` returns.  The column's
+    constant slot (last row, degree zero) must be nonzero; the solution is
+    the first row's coefficient segment divided by it, and it must come out
+    finite.
     """
-    cd = tau_state.col_degrees
-    zero_cols = np.flatnonzero(cd == 0)
+    zero_cols = np.flatnonzero(col_degrees == 0)
     if zero_cols.size != 1:
         raise SingularSystemError(
             f"expected one degree-zero column, found {zero_cols.size}")

@@ -281,10 +281,18 @@ def _complex_from_json(obj: dict, re_key: str, im_key: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is; floats, bools and strings are the wrong type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
 def spec_from_json(obj) -> ToeplitzSpec:
     obj = _json_object(obj)
     gen = _complex_from_json(obj, "gen_re", "gen_im")
-    return ToeplitzSpec(_json_field(obj, "rows", int), _json_field(obj, "cols", int), gen)
+    return ToeplitzSpec(_json_field(obj, "rows", _json_int),
+                        _json_field(obj, "cols", _json_int), gen)
 
 
 def vector_to_json(v: np.ndarray) -> dict:

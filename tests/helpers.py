@@ -4,21 +4,18 @@ Everything here is deliberately naive: dense blocks, numpy solves, explicit
 loops.  The point is to check the fast paths against arithmetic that cannot
 share their failure modes.  The small polynomial and Toeplitz utilities
 below are used by the tests only, so they live here and not in the library.
-The serial sweep with NumPy bookkeeping at the end is the bitwise reference
+The one-pass serial driver is the recursive driver's reference, and the
+serial sweep with NumPy bookkeeping at the end is the bitwise reference
 for the library's scalar-bookkeeping sweep.
 """
 
 import numpy as np
 
 from toepreg import tanint
-from toepreg.extension import (
-    AssembledSystem,
-    InterpolationCondition,
-    extended_generating_sequence,
-)
-from toepreg.fftpoly import MatrixPoly
+from toepreg.extension import AssembledSystem, extended_generating_sequence
+from toepreg.fftpoly import MatrixPoly, grid_eval
 from toepreg.solver import dense_normal_matrix
-from toepreg.tanint import DifficultPoint, SingularSystemError
+from toepreg.tanint import SingularSystemError
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
 
 # Degree of the zero polynomial.  A dedicated sentinel (never -1) keeps the
@@ -89,7 +86,7 @@ def gramian_generating_sequence(t, weights=None, as_spec: bool = False, tol: flo
     return col
 
 
-def circulant_spectrum(spec: ToeplitzSpec, order: int, fill: str = "zero") -> np.ndarray:
+def circulant_spectrum(spec: ToeplitzSpec, order: int) -> np.ndarray:
     """Eigenvalues (in node order) of the circulant extension of the block.
 
     The extension places the genuine block bottom-right, so the circulant's
@@ -100,7 +97,7 @@ def circulant_spectrum(spec: ToeplitzSpec, order: int, fill: str = "zero") -> np
     k = order - spec.gen.size
     if k < 0:
         raise ValueError("circulant order smaller than the block generator")
-    c = extended_generating_sequence(spec, k, fill)
+    c = extended_generating_sequence(spec, k)
     return np.fft.fft(np.roll(c, -(k + spec.rows - 1)))
 
 
@@ -130,9 +127,15 @@ def poly_eval(coeffs, z: complex):
     return c @ powers
 
 
+def eval_grid(poly: MatrixPoly, n_nodes: int, offset: int = 0,
+              stride: int = 1) -> np.ndarray:
+    """Values on a node coset with the node axis first: (count, p, p)."""
+    return np.moveaxis(grid_eval(poly.coeffs, n_nodes, offset, stride), -1, 0)
+
+
 def basis_residuals(system: AssembledSystem, basis: MatrixPoly) -> np.ndarray:
     """All condition values against all basis columns, shape (rows, N, p)."""
-    vals = basis.eval_grid(system.order)
+    vals = eval_grid(basis, system.order)
     return np.einsum("rki,kij->rkj", system.weights, vals)
 
 
@@ -172,9 +175,9 @@ def tau_degree(q, tau, rel_tol: float = 1e-12):
     return NEG_INF if vals.size == 0 else float(vals.max())
 
 
-def residual(q, conditions) -> float:
+def residual(q, nodes, weights) -> float:
     """Worst |w . q(node)| of a vector polynomial over explicit conditions."""
-    return max(abs(c.weights @ poly_eval(q, c.node)) for c in conditions)
+    return max(abs(w @ poly_eval(q, z)) for z, w in zip(nodes, weights))
 
 
 def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8):
@@ -208,22 +211,45 @@ def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
     method to compare the batched pass against it."""
     if not engine.deferred:
         return basis
-    points = sorted(engine.deferred,
-                    key=lambda d: (d.condition.index, d.condition.row_tag))
-    points = [points[i] for i in tanint._stride_order(len(points))]
+    refs = sorted(engine.deferred)
+    refs = [refs[i] for i in tanint._stride_order(len(refs))]
     p, _, length = basis.coeffs.shape
-    ws = tanint._Workspace(p, length + len(points) + 1)
+    ws = tanint._Workspace(p, length + len(refs) + 1)
     ws.c[:, :, :length] = basis.coeffs
     ws.lens[:] = length
     ws.length = length
-    nodes = np.array([d.condition.node for d in points])
-    weights = np.array([engine.pristine[d.condition.row_tag, d.condition.index]
-                        for d in points])
-    refs = [(d.condition.index, d.condition.row_tag) for d in points]
-    tanint._serial_core(ws, nodes, weights, refs, engine.col_degrees,
-                        1e-13, False, [], engine.diag)
+    index, row = np.array(refs).T
+    tanint._serial_core(ws, engine.nodes[index], engine.pristine[row, index],
+                        refs, engine.col_degrees, 1e-13, False, [], engine.diag)
     ws.normalize()
     return MatrixPoly(ws.view())
+
+
+# -- the one-pass serial driver ----------------------------------------------
+
+
+def stride_conditions(system: AssembledSystem):
+    """All conditions of a system as (nodes, weights, refs), node-major in
+    the stride order one serial sweep over the whole system takes."""
+    return tanint._flatten(system.weights, system.nodes,
+                           tanint._stride_order(system.order))
+
+
+def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
+    """One-pass reference for ``rec_tan_int``: a single sweep over the
+    conditions in the given order.
+
+    ``col_degrees`` is the starting ledger (``-system.tau`` for a fresh
+    system) and is not changed.  Returns (basis, col_degrees, deferred
+    refs), like ``rec_tan_int``.
+    """
+    cd = np.array(col_degrees, dtype=np.int64)
+    ws = tanint._Workspace(cd.size, len(nodes) + 1)
+    deferred = []
+    tanint._serial_core(ws, nodes, weights, refs, cd, tanint._PIVOT_THRESHOLD,
+                        defer, deferred, None)
+    ws.normalize()
+    return MatrixPoly(ws.view()), cd, deferred
 
 
 # -- the serial sweep on NumPy bookkeeping -----------------------------------
@@ -265,9 +291,7 @@ def reference_serial_core(ws, nodes, weights, refs, col_degrees,
                 raise SingularSystemError(
                     "pivot underflow while absorbing an interpolation condition"
                 )
-            k, row = refs[t]
-            deferred.append(DifficultPoint(
-                InterpolationCondition(node, np.array(weights[t]), row, k)))
+            deferred.append(refs[t])
             continue
         mu = -phi / phi[j]
         mu[j] = 0.0

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import basis_residuals, rel_err
+from helpers import basis_residuals, rel_err, serial_tan_int, stride_conditions
 from toepreg import tanint
 from toepreg.experiments import (
     VARIANTS,
@@ -25,16 +25,11 @@ from toepreg.experiments import (
     run_cg_equivalence,
     run_complexity,
 )
-from toepreg.extension import assemble, opt_extend_detail
+from toepreg.extension import assemble, opt_extend
 from toepreg.fftpoly import MatrixPoly, next_fast_len
 from toepreg.nufft import NufftConfig, run_nufft
 from toepreg.solver import apply_normal_operator, dense_oracle, solve_tikhonov
-from toepreg.tanint import (
-    TauState,
-    extract_solution,
-    rec_tan_int,
-    serial_tan_int,
-)
+from toepreg.tanint import extract_solution, rec_tan_int
 from toepreg.toeplitz import ProblemSpec
 
 
@@ -191,31 +186,24 @@ def test_serial_and_recursive_drivers_agree():
         problem = random_problem(variant, n, rng)
         system = assemble(problem, n_lim=64)
         assert system.rows * system.order <= 512
-        ts_serial = TauState.from_tau(system.tau)
-        basis_serial, _ = serial_tan_int(system, ts_serial)
-        ts_rec = TauState.from_tau(system.tau)
-        basis_rec, _ = rec_tan_int(system, ts_rec, n_lim=64)
-        x_serial = extract_solution(basis_serial, ts_serial, problem.n)
-        x_rec = extract_solution(basis_rec, ts_rec, problem.n)
+        basis_serial, cd_serial, _ = serial_tan_int(*stride_conditions(system),
+                                                    -system.tau)
+        basis_rec, cd_rec, _ = rec_tan_int(system)
+        x_serial = extract_solution(basis_serial, cd_serial, problem.n)
+        x_rec = extract_solution(basis_rec, cd_rec, problem.n)
         assert rel_err(x_rec, x_serial) < 1e-9
 
 
 def test_extension_search_is_optimal_and_feasible():
     for n_lim in (256, 512):
-        for paired in (False, True):
-            budget = n_lim // 2 if paired else n_lim
-            for force_even in (False, True):
-                for n_tilde in range(2, 5001):
-                    k, p, m = opt_extend_detail(n_tilde, n_lim, rows=3,
-                                                paired=paired,
-                                                force_even=force_even)
-                    order = (1 << p) * m
-                    assert order == n_tilde + k
-                    assert k >= 0
-                    assert 3 * m <= budget
-    # hand trace: 1000 -> 1008 = 2**4 * 63 under the plain interleaving rule
-    assert opt_extend_detail(1000, 256, rows=3, paired=False,
-                             force_even=False) == (8, 4, 63)
+        for n_tilde in range(2, 5001):
+            k, p, m = opt_extend(n_tilde, n_lim, rows=3)
+            order = (1 << p) * m
+            assert order == n_tilde + k
+            assert k >= 0
+            assert 3 * m <= n_lim // 2
+    # hand trace: 1000 -> 1024 = 2**5 * 32 under the paired, even rule
+    assert opt_extend(1000, 256, rows=3) == (24, 5, 32)
 
 
 def test_time_matched_conjugate_gradient_table():

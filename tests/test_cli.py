@@ -116,6 +116,16 @@ def test_bad_size_list_exits_two():
     assert main(["complexity", "--sizes", "0,16"]) == 2
 
 
+@pytest.mark.parametrize("command", ["complexity", "accuracy", "cg-equiv"])
+def test_experiment_rejects_too_few_trials(command, capsys):
+    # A sweep without trials used to print max_err 0 and nan means.
+    code = main([command, "--trials", "0", "--sizes", "16", "--nlim", "16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials ")
+    assert "Traceback" not in err
+
+
 def test_missing_input_files_exit_two(tmp_path):
     # general without --reg/--b is a config error, as is a missing path
     assert main(["solve", "--variant", "general",
@@ -138,6 +148,10 @@ GOOD_B = {"re": [1.0, 2.0]}
     ({**GOOD_T, "gen_im": [1.0]}, GOOD_B, "'gen_im'"),
     ([0.0, 1.0, 0.0], GOOD_B, "JSON object"),
     (GOOD_T, {"im": [1.0, 2.0]}, "'re'"),
+    ({"rows": 2.9, "cols": 2, "gen_re": [1, 2, 3]}, GOOD_B, "'rows'"),
+    ({"rows": True, "cols": "2", "gen_re": [1, 2]}, GOOD_B, "'rows'"),
+    ({**GOOD_T, "cols": "2"}, GOOD_B, "'cols'"),
+    ({**GOOD_T, "cols": 2.0}, GOOD_B, "'cols'"),
 ])
 def test_malformed_json_exits_two(tmp_path, capsys, t_doc, b_doc, named):
     code = main(["solve", "--variant", "l2",
@@ -267,6 +281,7 @@ def test_nufft_subcommand(tmp_path, capsys):
     (["--components", "-1"], "components"),
     (["--f-max", "inf"], "f_max"),
     (["--f-max", "nan"], "f_max"),
+    (["--f-max", "-0.1"], "f_max"),
 ])
 def test_nufft_rejects_bad_config(flags, field, capsys):
     code = main(["nufft", "--n", "16", "--samples", "16", "--nlim", "16"] + flags)

@@ -84,6 +84,15 @@ def test_fit_handles_constant_times():
     assert 0.0 <= fit.r_squared <= 1.0
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"trials": -2}, "trials"),
+    ({"sizes": ()}, "sizes"),
+])
+def test_experiment_config_rejects_empty_sweeps(fields, named):
+    with pytest.raises(ValueError, match=f"^{named} "):
+        ExperimentConfig(**fields)
+
+
 def test_run_complexity_schema():
     cfg = ExperimentConfig(variants=("l2",), sizes=(16, 32), trials=2, seed=3,
                            n_lim=16)

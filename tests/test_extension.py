@@ -11,12 +11,7 @@ from helpers import (
     random_spec,
     rel_err,
 )
-from toepreg.extension import (
-    assemble,
-    extended_generating_sequence,
-    opt_extend,
-    opt_extend_detail,
-)
+from toepreg.extension import assemble, extended_generating_sequence, opt_extend
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
 
 
@@ -29,25 +24,15 @@ def identity_gramian(n: int) -> HermitianToeplitzSpec:
 # ---------------------------------------------------------------- sizing
 
 def test_opt_extend_hand_trace():
-    # 1000 halves to 63 in four steps, 3*63 fits a 256 budget, so the
-    # extension pads up to 16*63 = 1008
-    k, p, m = opt_extend_detail(1000, 256, rows=3, paired=False,
-                                force_even=False)
-    assert (k, p, m) == (8, 4, 63)
+    # A leaf pair of 3 rows fits a 256 budget at M <= 42.  1000 halves to
+    # 500, 250, 125 -> 126, 63 -> 64 and 32, every odd half rounded up to
+    # even, so the extension pads up to 32*32 = 1024.
+    assert opt_extend(1000, 256, rows=3) == (24, 5, 32)
 
 
 def test_opt_extend_no_extension_needed():
-    k, p, m = opt_extend_detail(128, 256, rows=3, paired=False)
-    assert (k, p, m) == (0, 1, 64)
-    assert opt_extend(96, 512, rows=3, paired=False) == 0
-
-
-def test_opt_extend_paired_rule_halves_budget():
-    # paired leaves hold two node classes, so the per-leaf budget halves
-    k1, p1, _ = opt_extend_detail(512, 256, rows=2, paired=False)
-    k2, p2, _ = opt_extend_detail(512, 256, rows=2, paired=True)
-    assert p2 == p1 + 1
-    assert k1 == k2 == 0
+    assert opt_extend(128, 256, rows=3) == (0, 2, 32)
+    assert opt_extend(96, 512, rows=3) == (0, 1, 48)
 
 
 def test_opt_extend_validation():
@@ -59,29 +44,27 @@ def test_opt_extend_validation():
 
 def test_opt_extend_satisfies_split_conditions_smoke():
     for n_tilde in range(2, 200):
-        for paired in (False, True):
-            k, p, m = opt_extend_detail(n_tilde, 256, rows=3, paired=paired)
-            order = n_tilde + k
-            assert order == 2**p * m
-            limit = 256 // 2 if paired else 256
-            assert 3 * m <= limit
-            assert order >= n_tilde
-            assert k >= 0
+        k, p, m = opt_extend(n_tilde, 256, rows=3)
+        order = n_tilde + k
+        assert order == 2**p * m
+        assert 2 * 3 * m <= 256
+        assert p == 0 or m % 2 == 0
+        assert order >= n_tilde
+        assert k >= 0
 
 
 # ----------------------------------------------------------- generators
 
 def test_zero_fill_extension():
     spec = ToeplitzSpec(2, 2, [1.0, 2.0, 3.0])
-    assert np.array_equal(extended_generating_sequence(spec, 0, "zero"),
-                          spec.gen)
-    ext = extended_generating_sequence(spec, 1, "zero")
+    assert np.array_equal(extended_generating_sequence(spec, 0), spec.gen)
+    ext = extended_generating_sequence(spec, 1)
     assert ext[0] == 0.0 and np.array_equal(ext[1:], spec.gen)
 
 
 def test_echo_fill_copies_coefficients_outward():
     spec = ToeplitzSpec(2, 2, [1.0, 2.0, 3.0])
-    ext = extended_generating_sequence(spec, 2, "echo")
+    ext = extended_generating_sequence(spec, 2)
     # reading the new entries outward from the block reproduces the
     # generator cyclically
     assert np.array_equal(ext[:2][::-1], np.array([1.0, 2.0]))
@@ -91,37 +74,32 @@ def test_echo_fill_copies_coefficients_outward():
 def test_echo_fill_membership():
     rng = np.random.default_rng(41)
     spec = random_spec(rng, 3, 3)
-    ext = extended_generating_sequence(spec, 5, "echo")
+    ext = extended_generating_sequence(spec, 5)
     for value in ext[:5]:
         assert value in spec.gen
 
 
 def test_auto_fill_policy_switches_on_extension_size():
     spec = ToeplitzSpec(2, 2, [1.0, 2.0, 3.0])
-    assert extended_generating_sequence(spec, 1, "auto")[0] == 0.0
-    assert extended_generating_sequence(spec, 2, "auto")[0] != 0.0
-
-
-def test_unknown_fill_policy():
-    with pytest.raises(ValueError):
-        extended_generating_sequence(identity_spec(2), 3, "mirror")
+    assert extended_generating_sequence(spec, 1)[0] == 0.0
+    assert extended_generating_sequence(spec, 2)[0] != 0.0
 
 
 # --------------------------------------------------------------- spectra
 
 def test_spectrum_scalar_block():
-    lam = circulant_spectrum(ToeplitzSpec(1, 1, [1.0]), 2, "zero")
+    lam = circulant_spectrum(ToeplitzSpec(1, 1, [1.0]), 2)
     assert np.allclose(lam, [1.0, 1.0], atol=1e-14)
 
 
 def test_spectrum_identity_block_is_flat():
     for n, order in [(4, 8), (5, 11), (6, 13)]:
-        lam = circulant_spectrum(identity_spec(n), order, "zero")
+        lam = circulant_spectrum(identity_spec(n), order)
         assert np.allclose(lam, 1.0, atol=1e-13)
 
 
 def test_spectrum_scaled_identity_block():
-    lam = circulant_spectrum(identity_spec(6, 2.5), 14, "zero")
+    lam = circulant_spectrum(identity_spec(6, 2.5), 14)
     assert np.allclose(lam, 2.5, atol=1e-13)
 
 
@@ -129,7 +107,7 @@ def test_spectrum_reconstructs_extension():
     rng = np.random.default_rng(42)
     m, n, order = 3, 3, 6
     spec = random_spec(rng, m, n)
-    lam = circulant_spectrum(spec, order, "zero")
+    lam = circulant_spectrum(spec, order)
     col = np.fft.ifft(lam)
     c = np.array([[col[(i - j) % order] for j in range(order)]
                   for i in range(order)])
@@ -148,7 +126,7 @@ def test_spectrum_reconstructs_extension():
 
 def test_spectrum_rejects_short_order():
     with pytest.raises(ValueError):
-        circulant_spectrum(identity_spec(4), 5, "zero")
+        circulant_spectrum(identity_spec(4), 5)
 
 
 # -------------------------------------------------------------- assembly
@@ -238,8 +216,7 @@ def test_condition_counts_and_widths():
         assert system.rows == rows
         assert system.p == p
         assert system.weights.shape == (rows, system.order, p)
-        assert system.solution_slot == 0
-        assert system.const_slot == p - 1
+        assert system.n_lim == 256
         assert system.degree_bounds[0] == n
         assert system.degree_bounds[-1] == 1
         assert np.array_equal(system.tau, system.degree_bounds - 1)
@@ -253,12 +230,9 @@ def test_conditions_have_unit_nodes_and_live_weights():
                              rng.standard_normal(7) + 0j)
     system = assemble(problem)
     assert np.abs(np.abs(system.nodes) - 1.0).max() < 1e-14
-    for row in range(system.rows):
-        for k in range(system.order):
-            cond = system.condition(row, k)
-            assert np.abs(cond.weights).max() > 0.0
-            assert cond.row_tag == row and cond.index == k
-            assert cond.node == system.nodes[k]
+    assert system.nodes.shape == (system.order,)
+    # every condition (row, k) has a live weight row
+    assert (np.abs(system.weights).max(axis=2) > 0.0).all()
 
 
 def test_assemble_rejects_unknown_variant():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import column_tau_degrees, identity_poly, poly_eval
+from helpers import column_tau_degrees, eval_grid, identity_poly, poly_eval
 from toepreg.fftpoly import (
     MatrixPoly,
     grid_eval,
@@ -135,13 +135,13 @@ def test_eval_product_homomorphism():
     rng = np.random.default_rng(30)
     a = MatrixPoly(crandn(rng, 5, 5, 6))
     b = MatrixPoly(crandn(rng, 5, 5, 7))
-    prod_vals = matpoly_multiply(a, b).eval_grid(16)
-    pointwise = np.einsum("kij,kjl->kil", a.eval_grid(16), b.eval_grid(16))
+    prod_vals = eval_grid(matpoly_multiply(a, b), 16)
+    pointwise = np.einsum("kij,kjl->kil", eval_grid(a, 16), eval_grid(b, 16))
     assert np.abs(prod_vals - pointwise).max() / np.abs(pointwise).max() < 1e-10
 
 
 def test_eval_at_roots_identity():
-    vals = identity_poly(3).eval_grid(5)
+    vals = eval_grid(identity_poly(3), 5)
     for v in vals:
         assert np.allclose(v, np.eye(3), atol=1e-14)
 
@@ -149,7 +149,7 @@ def test_eval_at_roots_identity():
 def test_eval_at_roots_matches_direct_eval():
     rng = np.random.default_rng(31)
     p = MatrixPoly(crandn(rng, 4, 4, 16))
-    vals = p.eval_grid(32, offset=1, stride=2)
+    vals = eval_grid(p, 32, offset=1, stride=2)
     nodes = unit_roots(32)[1::2]
     for v, z in zip(vals, nodes):
         assert np.abs(v - poly_eval(p.coeffs, z)).max() < 1e-12

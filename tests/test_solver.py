@@ -16,7 +16,7 @@ from toepreg.solver import (
     dense_oracle,
     solve_tikhonov,
 )
-from toepreg.tanint import SingularSystemError, TauState, extract_solution
+from toepreg.tanint import SingularSystemError, extract_solution
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 
@@ -116,8 +116,8 @@ def test_report_fields():
     degrees = sorted(report.final_col_degrees.tolist())
     assert degrees == [0] + [1] * (len(degrees) - 1)
     # The reported basis is the one the solution was read from.
-    state = TauState(tau=None, col_degrees=report.final_col_degrees)
-    assert np.array_equal(extract_solution(report.basis, state, problem.n),
+    assert np.array_equal(extract_solution(report.basis, report.final_col_degrees,
+                                           problem.n),
                           report.x_hat)
 
 
