@@ -116,8 +116,7 @@ class AssembledSystem:
     sized for.
     """
 
-    def __init__(self, variant, n, order, degree_bounds, weights, n_lim):
-        self.variant = variant
+    def __init__(self, n, order, degree_bounds, weights, n_lim):
         self.n = n
         self.order = order
         self.n_lim = n_lim
@@ -157,4 +156,4 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     w[0, :, -1] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     rows = [block.rows for block in factors]
     bounds = [n, *rows, order - n, *(order - r for r in rows), 1]
-    return AssembledSystem(problem.variant, n, order, bounds, w, n_lim)
+    return AssembledSystem(n, order, bounds, w, n_lim)

@@ -11,20 +11,27 @@ condition raises exactly one column's shifted degree by one, and the pivot
 always comes from the currently lowest columns, which is what keeps the
 basis reduced throughout.
 
-The serial sweep works in a coefficient cube that tracks each column's
-coefficient length; its ``length`` is the largest of them.  An absorbed
-condition lengthens its pivot column by one and no column past that, so a
-leaf of K conditions over p columns returns a basis about
-K/(p-1) + 1 coefficients long, not K + 1, and every evaluation, self-check
-and combine product downstream works on that true length.
+The serial sweep keeps the working basis in a column-major store: one
+Fortran-ordered array whose column k lists entry (i, k)'s z^l coefficient
+at row l*p + i, so a basis column is one contiguous vector.  The store
+tracks each column's coefficient length; its ``length`` is the largest of
+them.  An absorbed condition lengthens its pivot column by one and no
+column past that, so a leaf of K conditions over p columns returns a basis
+about K/(p-1) + 1 coefficients long, not K + 1, and every evaluation,
+self-check and combine product downstream works on that true length.
 
 The leaf sweeps of a solve take thousands of trips over p-entry vectors,
-where a NumPy call costs more than its arithmetic.  So only the float work
-runs in NumPy: the condition values, the pivot ratios, the rank-one update
-and shift, and the periodic rescale.  The bookkeeping (pivot choice, degree
-ledger, column lengths, deferral) runs on Python scalars and takes the same
-decisions, so the sweep's output is bit for bit what an all-NumPy loop
-gives.
+where a NumPy call costs more than its arithmetic.  So each trip makes few
+native calls: the condition value (the node's powers and two small
+products), the pivot ratios, and one BLAS rank-one update (``zgeru``,
+Dongarra et al., ACM TOMS 1988) that mixes the pivot column into every
+other column of the store at once, followed by the pivot column's shift
+on contiguous slices.  The bookkeeping (pivot choice, degree ledger,
+column lengths, deferral) runs on Python scalars.  The sweep takes the
+decisions of a plain NumPy loop over a (p, p, length) coefficient cube,
+and its coefficients agree with that loop's to rounding, not bit for bit:
+the BLAS kernel may fuse its multiply-adds, and the evaluation sums in
+another order.
 
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
@@ -46,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
 from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply
@@ -65,6 +73,9 @@ _RESCALE_PERIOD = 8
 # A pivot smaller than this fraction of the largest candidate defers its
 # condition; the cleanup pass accepts pivots down to 1e-13.
 _PIVOT_THRESHOLD = 1e-8
+
+# Smallest leaf store, in rows; a power of two (see ``_Workspace``).
+_STORE_MIN_ROWS = 64
 
 
 class SingularSystemError(RuntimeError):
@@ -91,38 +102,76 @@ class TanIntDiagnostics:
 
 
 class _Workspace:
-    """Mutable coefficient cube (p, p, capacity) for the working basis.
+    """Column-major coefficient store for the working basis.
 
-    ``lens[j]`` is the coefficient length of column j: every slot of that
-    column at or past it is exactly zero.  ``length`` is the largest of them,
-    the true length of the basis, and every read and write stays inside it.
-    Absorbing a condition lengthens the pivot column by one and brings the
-    columns mixed with it up to the pivot's old length, so the cube grows
-    with the basis degree, not with the number of conditions.
+    ``store`` is a Fortran-ordered (rows, p) array: column k holds the z^l
+    coefficient of entry (i, k) at row ``l * p + i``, so one basis column
+    is one contiguous vector and absorbing a condition is one BLAS rank-one
+    update over the store.  Rows past the basis length are exactly zero.
+
+    ``lens[j]`` is the coefficient length of column j: every row of that
+    column at or past ``lens[j] * p`` is exactly zero.  ``length`` is the
+    largest of them, the true length of the basis, and every read stays
+    inside it.  Absorbing a condition lengthens the pivot column by one and
+    brings the columns mixed with it up to the pivot's old length, so the
+    basis grows with its degree, not with the number of conditions.
+
+    The store holds a power-of-two number of rows, at least
+    ``_STORE_MIN_ROWS``, and doubles as the basis grows, copying its rows
+    exactly, so the update's work tracks the basis length and a leaf's
+    store stays below OpenBLAS's threading size.  A power of two keeps the
+    BLAS kernel's blocked and tail loops on the same rows whatever the
+    store size, so a sweep's bits do not depend on when the store grew.
+    ``capacity`` bounds the coefficient length a column may reach.
     """
 
-    __slots__ = ("c", "lens", "length")
+    __slots__ = ("store", "capacity", "lens", "length")
 
     def __init__(self, p, capacity):
-        self.c = np.zeros((p, p, capacity), dtype=np.complex128)
-        self.c[:, :, 0] = np.eye(p)
+        self.store = np.zeros((_STORE_MIN_ROWS, p), dtype=np.complex128,
+                              order="F")
+        self.capacity = capacity
+        self._fit(1)
+        self.store[:p, :] = np.eye(p)
         self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
+
+    def _fit(self, length: int):
+        """Grow the store, copying its rows exactly, until it holds
+        ``length`` coefficients."""
+        rows, p = self.store.shape
+        if rows >= length * p:
+            return
+        while rows < length * p:
+            rows *= 2
+        grown = np.zeros((rows, p), dtype=np.complex128, order="F")
+        grown[:self.store.shape[0]] = self.store
+        self.store = grown
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
 
-        Column lengths are raised on Python scalars: each column mixed with
-        the pivot (mu_i != 0) reaches the pivot's old length, the pivot one
-        more, and ``length`` follows the pivot."""
-        c, lens = self.c, self.lens
+        The mix is one ``zgeru`` over the whole store with alpha = 1, which
+        must update the store in place.  With alpha = 1 every product is
+        mu_i * head_l, so OpenBLAS's threaded path for large stores gives
+        the same bits as its serial one.  Column lengths are raised on
+        Python scalars: each column mixed with the pivot (mu_i != 0)
+        reaches the pivot's old length, the pivot one more, and ``length``
+        follows the pivot."""
+        lens = self.lens
         lj = int(lens[j])
-        if lj >= c.shape[2]:
+        if lj >= self.capacity:
             raise RuntimeError("workspace capacity exceeded")
-        head = c[:, j, :lj].copy()
-        c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
-        c[:, j, :lj] = -node * head
-        c[:, j, 1:lj + 1] += head
+        p = len(lens)
+        self._fit(lj + 1)
+        store = self.store
+        head = store[:, j].copy()
+        if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
+            raise RuntimeError("rank-one update did not write the store in place")
+        lp = lj * p
+        col = store[:, j]
+        col[:lp] = -node * head[:lp]
+        col[p:lp + p] += head[:lp]
         for i, m in enumerate(mu.tolist()):
             if m and lens[i] < lj:
                 lens[i] = lj
@@ -130,19 +179,29 @@ class _Workspace:
         if lj >= self.length:
             self.length = lj + 1
 
+    def _rows(self) -> np.ndarray:
+        return self.store[:self.length * len(self.lens)]
+
     def rescale(self, trigger: float = _RESCALE_TRIGGER):
-        colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
+        rows = self._rows()
+        colmax = np.abs(rows).max(axis=0)
         big = colmax > trigger
         if not big.any():
             return None
-        self.c[:, big, :self.length] /= colmax[big][None, :, None]
+        rows[:, big] /= colmax[big]
         return float(colmax[big].max())
 
-    def normalize(self):
-        return _normalize_columns(self.c[:, :, :self.length])
+    def normalize(self) -> float:
+        return _normalize_columns(self._cube())
+
+    def _cube(self) -> np.ndarray:
+        """The basis as a (p, p, length) view into the store."""
+        p = len(self.lens)
+        rows = self._rows().reshape(p, self.length, p, order="F")
+        return rows.transpose(0, 2, 1)
 
     def view(self) -> np.ndarray:
-        return self.c[:, :, :self.length].copy()
+        return self._cube().copy()
 
 
 def _normalize_columns(coeffs) -> float:
@@ -164,19 +223,23 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
     largest of ``np.abs(phi)`` among the lowest columns, as an argmax over
     them picks it, and the threshold test takes the pivot's scalar ``abs``.
     NumPy's vectorized complex abs and the scalar one can round apart in
-    the last bit, so neither stands in for the other.  The degree ledger is
-    a list of ints, written back into ``col_degrees`` in place when the
-    sweep ends or raises.
+    the last bit, so neither stands in for the other.
+
+    The condition value ``phi`` evaluates the basis at the node through
+    the (p, length, p) view of the store's transpose, then applies the
+    weight row.  The degree ledger is a list of ints, written back into
+    ``col_degrees`` in place when the sweep ends or raises.
     """
     cd = col_degrees.tolist()
     cols = range(len(cd))
-    c = ws.c
-    powers = np.arange(c.shape[2])
+    p = len(cd)
+    powers = np.arange(ws.capacity)
     try:
         for t in range(len(nodes)):
             node = nodes[t]
             length = ws.length
-            phi = weights[t] @ (c[:, :, :length] @ node ** powers[:length])
+            cube = ws.store.T[:, :length * p].reshape(p, length, p)
+            phi = (node ** powers[:length] @ cube) @ weights[t]
             mags = np.abs(phi).tolist()
             amax = max(mags)
             small = amax == 0.0

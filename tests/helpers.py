@@ -5,8 +5,10 @@ loops.  The point is to check the fast paths against arithmetic that cannot
 share their failure modes.  The small polynomial and Toeplitz utilities
 below are used by the tests only, so they live here and not in the library.
 The one-pass serial driver is the recursive driver's reference, and the
-serial sweep with NumPy bookkeeping at the end is the bitwise reference
-for the library's scalar-bookkeeping sweep.
+serial sweep at the end, on a (p, p, capacity) coefficient cube stepped by
+NumPy broadcasting with NumPy bookkeeping, is the reference semantics for
+the library's column-major store stepped by BLAS: the same decisions, and
+coefficients that agree to rounding.
 """
 
 import numpy as np
@@ -204,6 +206,18 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
     return MatrixPoly(coeffs), j
 
 
+def load_store(ws, coeffs, lens=None):
+    """Load a (p, p, length) basis into a ``tanint._Workspace`` whose
+    store is still empty past its first coefficient; column lengths
+    default to the full length."""
+    p, _, length = coeffs.shape
+    ws._fit(length)
+    ws.store[:length * p] = coeffs.transpose(2, 0, 1).reshape(length * p, p)
+    ws.lens[:] = length if lens is None else lens
+    ws.length = int(ws.lens.max())
+    return ws
+
+
 def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
     """Reference for ``_Engine._cleanup``: every deferred condition, in the
     same stride order, is stepped one at a time into the full-length final
@@ -214,10 +228,7 @@ def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
     refs = sorted(engine.deferred)
     refs = [refs[i] for i in tanint._stride_order(len(refs))]
     p, _, length = basis.coeffs.shape
-    ws = tanint._Workspace(p, length + len(refs) + 1)
-    ws.c[:, :, :length] = basis.coeffs
-    ws.lens[:] = length
-    ws.length = length
+    ws = load_store(tanint._Workspace(p, length + len(refs) + 1), basis.coeffs)
     index, row = np.array(refs).T
     tanint._serial_core(ws, engine.nodes[index], engine.pristine[row, index],
                         refs, engine.col_degrees, 1e-13, False, [], engine.diag)
@@ -252,30 +263,63 @@ def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
     return MatrixPoly(ws.view()), cd, deferred
 
 
-# -- the serial sweep on NumPy bookkeeping -----------------------------------
+# -- the serial sweep on a NumPy cube ----------------------------------------
 
 
-def reference_step(ws, j: int, node: complex, mu: np.ndarray):
-    """``_Workspace.step`` with its column lengths kept by NumPy calls:
-    col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node)."""
-    lens = ws.lens
-    lj = int(lens[j])
-    if lj >= ws.c.shape[2]:
-        raise RuntimeError("workspace capacity exceeded")
-    head = ws.c[:, j, :lj].copy()
-    ws.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
-    ws.c[:, j, :lj] = -node * head
-    ws.c[:, j, 1:lj + 1] += head
-    np.maximum(lens, lj, out=lens, where=mu != 0.0)
-    lens[j] = lj + 1
-    ws.length = int(lens.max())
+class CubeWorkspace:
+    """The leaf workspace as a (p, p, capacity) coefficient cube: entry
+    (i, k)'s z^l coefficient sits at ``c[i, k, l]``, and a step is one
+    NumPy broadcast over the cube.  It has the ``step``, ``rescale``,
+    ``normalize`` and ``view`` of ``tanint._Workspace``, whose store it is
+    the reference for, and can start from a given basis."""
+
+    def __init__(self, p, capacity, coeffs=None, lens=None):
+        self.c = np.zeros((p, p, capacity), dtype=np.complex128)
+        self.capacity = capacity
+        if coeffs is None:
+            self.c[:, :, 0] = np.eye(p)
+            self.lens = np.ones(p, dtype=np.int64)
+        else:
+            self.c[:, :, :coeffs.shape[2]] = coeffs
+            self.lens = np.array(lens, dtype=np.int64)
+        self.length = int(self.lens.max())
+
+    def step(self, j: int, node: complex, mu: np.ndarray):
+        """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node),
+        with the column lengths kept by NumPy calls."""
+        lens = self.lens
+        lj = int(lens[j])
+        if lj >= self.capacity:
+            raise RuntimeError("workspace capacity exceeded")
+        head = self.c[:, j, :lj].copy()
+        self.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
+        self.c[:, j, :lj] = -node * head
+        self.c[:, j, 1:lj + 1] += head
+        np.maximum(lens, lj, out=lens, where=mu != 0.0)
+        lens[j] = lj + 1
+        self.length = int(lens.max())
+
+    def rescale(self, trigger: float = tanint._RESCALE_TRIGGER):
+        colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
+        big = colmax > trigger
+        if not big.any():
+            return None
+        self.c[:, big, :self.length] /= colmax[big][None, :, None]
+        return float(colmax[big].max())
+
+    def normalize(self) -> float:
+        return tanint._normalize_columns(self.c[:, :, :self.length])
+
+    def view(self) -> np.ndarray:
+        return self.c[:, :, :self.length].copy()
 
 
 def reference_serial_core(ws, nodes, weights, refs, col_degrees,
                           pivot_threshold, defer, deferred, diag):
-    """``tanint._serial_core`` with the pivot choice and the degree ledger on
-    NumPy arrays.  Same signature, so it can be patched over the module's
-    sweep; the scalar sweep must match it bit for bit."""
+    """``tanint._serial_core`` on a ``CubeWorkspace``, with the pivot choice
+    and the degree ledger on NumPy arrays.  Same signature, so it can be
+    patched over the module's sweep together with the workspace; the
+    library's sweep must take the same decisions."""
     for t in range(len(nodes)):
         node = nodes[t]
         length = ws.length
@@ -295,7 +339,7 @@ def reference_serial_core(ws, nodes, weights, refs, col_degrees,
             continue
         mu = -phi / phi[j]
         mu[j] = 0.0
-        reference_step(ws, j, node, mu)
+        ws.step(j, node, mu)
         col_degrees[j] += 1
         if (t + 1) % tanint._RESCALE_PERIOD == 0:
             factor = ws.rescale()

@@ -6,10 +6,12 @@ import pytest
 import toepreg.tanint as tanint
 from helpers import (
     NEG_INF,
+    CubeWorkspace,
     basis_residuals,
     dense_tikhonov,
     full_basis_cleanup,
     identity_poly,
+    load_store,
     poly_eval,
     random_spec,
     reference_serial_core,
@@ -143,13 +145,34 @@ def _full_cube_step(c, j, node, mu):
     c[:, j, 1:] += head[:, :-1]
 
 
+def _assert_close_by_column(a, b, perturbed=None, tol=1e-12):
+    """Two (p, p, length) coefficient arrays agree to ``tol`` of each
+    column's largest entry in ``b``.  Given ``perturbed``, what ``b``'s
+    computation returns for one-ulp changes to its inputs, a column may
+    also differ by up to ten times what that moved it: a sweep that
+    amplifies rounding is held to its reference's own sensitivity."""
+    assert a.shape == b.shape
+    bound = tol * np.abs(b).max(axis=(0, 2))
+    if perturbed is not None:
+        assert perturbed.shape == b.shape
+        bound = np.maximum(bound, 10.0 * np.abs(perturbed - b).max(axis=(0, 2)))
+    assert (np.abs(a - b).max(axis=(0, 2)) <= bound).all()
+
+
+def _ulp_perturbed(a, seed=79):
+    """``a`` with each entry moved by about one ulp in a random direction."""
+    rng = np.random.default_rng(seed)
+    return a * (1.0 + 2.0**-52 * np.exp(2j * np.pi * rng.uniform(size=a.shape)))
+
+
 def _assert_true_lengths(ws, ref):
-    for j in range(ws.c.shape[1]):
-        assert not ws.c[:, j, ws.lens[j]:].any()
+    p = len(ws.lens)
+    for j in range(p):
+        assert not ws.store[ws.lens[j] * p:, j].any()
     assert ws.length == ws.lens.max()
     assert np.abs(ws.view()[:, :, -1]).max() > 0.0
-    # same coefficients as the whole-cube update, and nothing past length
-    assert np.array_equal(ws.view(), ref[:, :, :ws.length])
+    # the whole-cube update's coefficients to rounding, nothing past length
+    _assert_close_by_column(ws.view(), ref[:, :, :ws.length])
     assert not ref[:, :, ws.length:].any()
 
 
@@ -174,9 +197,71 @@ def test_workspace_tracks_true_column_lengths():
     steps(ws, 24)
     assert ws.lens.min() < ws.length
     colmax = np.abs(ref).max(axis=(0, 2))
-    assert ws.rescale(trigger=1.0) == colmax.max()
+    assert ws.rescale(trigger=1.0) == pytest.approx(colmax.max(), rel=1e-12)
     ref /= np.where(colmax > 1.0, colmax, 1.0)[None, :, None]
     _assert_true_lengths(ws, ref)
+    # normalizing writes through the store's cube view
+    colmax = np.abs(ref).max(axis=(0, 2))
+    assert ws.normalize() == pytest.approx(colmax.max(), rel=1e-12)
+    ref /= colmax[None, :, None]
+    _assert_true_lengths(ws, ref)
+
+
+def test_store_size_leaves_the_sweep_bits_alone():
+    # A store pre-sized to the capacity and one doubling from the minimum
+    # give the BLAS update power-of-two row counts, so every basis row
+    # takes the same kernel path and the sweeps leave equal bits; the
+    # natural order also takes the rescale path.
+    system = assemble(random_problem("general", 64, np.random.default_rng(74)))
+    for order in (tanint._stride_order(system.order), np.arange(system.order)):
+        nodes, weights, refs = tanint._flatten(system.weights, system.nodes,
+                                               order)
+        found = []
+        for presize in (False, True):
+            ws = tanint._Workspace(system.p, len(nodes) + 1)
+            if presize:
+                ws._fit(ws.capacity)
+            cd = -system.tau
+            tanint._serial_core(ws, nodes, weights, refs, cd, 1e-8, True, [],
+                                None)
+            rows = ws.store.shape[0]
+            assert rows & (rows - 1) == 0 and ws.store.flags.f_contiguous
+            found.append((rows, ws.view(), ws.lens, cd))
+        (rows, coeffs, lens, cd), (full_rows, *presized) = found
+        assert rows < 2 * ws.length * system.p < full_rows
+        for a, b in zip((coeffs, lens, cd), presized):
+            assert _same_bits(a, b)
+
+
+def test_step_raises_on_a_store_it_cannot_update_in_place():
+    # Handed a C-ordered array, zgeru updates a copy and returns it; the
+    # step raises instead of dropping the update.
+    ws = tanint._Workspace(4, 9)
+    ws.store = np.ascontiguousarray(ws.store)
+    before = ws.store.copy()
+    with pytest.raises(RuntimeError, match="in place"):
+        ws.step(1, 1j, np.array([0.5, 0.0, 0.0, 2.0], dtype=complex))
+    assert _same_bits(ws.store, before)
+    assert ws.lens.tolist() == [1, 1, 1, 1] and ws.length == 1
+
+
+def test_step_raises_at_the_capacity_bound():
+    ws = tanint._Workspace(2, 3)
+    mu = np.array([0.0, 1.0], dtype=complex)
+    ws.step(0, 1.0, mu)
+    ws.step(0, -1.0, mu)
+    assert ws.lens.tolist() == [3, 2] and ws.length == 3
+    with pytest.raises(RuntimeError, match="capacity"):
+        ws.step(0, 1j, mu)
+    assert ws.lens.tolist() == [3, 2]
+    # a sweep whose basis outgrows its workspace raises too: over two
+    # columns, the third condition pivots on a column of length 2
+    rng = np.random.default_rng(78)
+    nodes = np.exp(2j * np.pi * rng.uniform(size=3))
+    with pytest.raises(RuntimeError, match="capacity"):
+        tanint._serial_core(tanint._Workspace(2, 2), nodes, crandn(rng, 3, 2),
+                            [(k, 0) for k in range(3)],
+                            np.zeros(2, dtype=np.int64), 1e-8, False, [], None)
 
 
 # ------------------------------------------------------ serial constructor
@@ -389,7 +474,7 @@ def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
     system = assemble(_rect_problem(128, "m=n/4"))
     weights = system.weights.copy()
     weights[0, 5, :] = 0.0
-    broken = AssembledSystem(system.variant, system.n, system.order,
+    broken = AssembledSystem(system.n, system.order,
                              system.degree_bounds, weights, system.n_lim)
     monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
     with pytest.raises(SingularSystemError):
@@ -401,7 +486,7 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
     serial_core = tanint._serial_core
 
     def core(ws, nodes, *args):
-        sweeps.append((len(nodes), ws.c.shape[2]))
+        sweeps.append((len(nodes), ws.capacity))
         return serial_core(ws, nodes, *args)
 
     monkeypatch.setattr(tanint, "_serial_core", core)
@@ -432,18 +517,20 @@ def test_recursive_final_degree_structure():
 
 # ------------------------------------- scalar sweep against the reference
 
-def _clone(ws):
-    copy = tanint._Workspace(ws.c.shape[0], ws.c.shape[2])
-    copy.c[:] = ws.c
-    copy.lens[:] = ws.lens
-    copy.length = ws.length
-    return copy
+def _workspace(core, p, capacity, coeffs=None, lens=None):
+    """The workspace a sweep core runs on, holding the identity or the
+    given basis: the library's store, or the reference's cube."""
+    if core is reference_serial_core:
+        return CubeWorkspace(p, capacity, coeffs, lens)
+    ws = tanint._Workspace(p, capacity)
+    return ws if coeffs is None else load_store(ws, coeffs, lens)
 
 
 def _sweep(core, start, nodes, weights, col_degrees, threshold, defer):
-    """One sweep on a copy of ``start``; returns all it leaves behind,
-    including the message of a SingularSystemError it raised."""
-    ws = _clone(start)
+    """One sweep on a fresh workspace built from ``start``; returns all it
+    leaves behind, including the message of a SingularSystemError it
+    raised."""
+    ws = _workspace(core, *start)
     cd = np.array(col_degrees, dtype=np.int64)
     refs = [(t // 3, t % 3) for t in range(len(nodes))]
     deferred, diag, error = [], TanIntDiagnostics(), None
@@ -460,18 +547,30 @@ def _same_bits(a, b) -> bool:
 
 
 def _assert_sweeps_match(start, nodes, weights, col_degrees,
-                         threshold=1e-8, defer=True):
-    """The scalar sweep and the NumPy reference leave the same bits."""
+                         threshold=1e-8, defer=True, exact=False):
+    """The library's sweep and the cube reference take the same decisions
+    and leave the same coefficients and rescale factors: bit for bit with
+    ``exact``, else to rounding (see ``_assert_close_by_column``), against
+    a second reference sweep on one-ulp perturbed weights."""
     ws, cd, deferred, diag, error = _sweep(
         tanint._serial_core, start, nodes, weights, col_degrees, threshold, defer)
     ref_ws, ref_cd, ref_deferred, ref_diag, ref_error = _sweep(
         reference_serial_core, start, nodes, weights, col_degrees, threshold, defer)
-    assert _same_bits(ws.c, ref_ws.c)
     assert _same_bits(ws.lens, ref_ws.lens) and ws.length == ref_ws.length
     assert _same_bits(cd, ref_cd)
     assert deferred == ref_deferred
-    assert _same_bits(diag.max_column_scale, ref_diag.max_column_scale)
     assert error == ref_error
+    if exact:
+        assert _same_bits(ws.view(), ref_ws.view())
+        assert _same_bits(diag.max_column_scale, ref_diag.max_column_scale)
+        return ws, cd, deferred, diag, error
+    pert_ws, _, _, pert_diag, _ = _sweep(
+        reference_serial_core, start, nodes, _ulp_perturbed(weights),
+        col_degrees, threshold, defer)
+    _assert_close_by_column(ws.view(), ref_ws.view(), pert_ws.view())
+    scale, ref_scale = diag.max_column_scale, ref_diag.max_column_scale
+    assert abs(scale - ref_scale) <= max(
+        1e-12 * ref_scale, 10.0 * abs(pert_diag.max_column_scale - ref_scale))
     return ws, cd, deferred, diag, error
 
 
@@ -486,7 +585,7 @@ def test_scalar_sweep_matches_reference_with_rescaling(variant):
     # trigger; the stride order the drivers use never reaches it here.
     system = assemble(random_problem(variant, 64, np.random.default_rng(74)))
     nodes, weights, col_degrees = _sweep_inputs(system, np.arange(system.order))
-    start = tanint._Workspace(system.p, len(nodes) + 1)
+    start = (system.p, len(nodes) + 1)
     _, _, _, diag, _ = _assert_sweeps_match(start, nodes, weights, col_degrees)
     assert diag.max_column_scale > 1e8
 
@@ -495,7 +594,7 @@ def test_scalar_sweep_matches_reference_on_deferring_and_raising_sweeps():
     system = assemble(_rect_problem(128, "m=n/4"))
     nodes, weights, col_degrees = _sweep_inputs(
         system, tanint._stride_order(system.order))
-    start = tanint._Workspace(system.p, len(nodes) + 1)
+    start = (system.p, len(nodes) + 1)
     _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
                                                 col_degrees)
     assert len(deferred) > 0.1 * len(nodes)
@@ -518,12 +617,14 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
     weights[2] = 0.0
     weights[13] = 0.0
     nodes = np.exp(2j * np.pi * rng.uniform(size=24))
-    start = tanint._Workspace(4, 25)
+    start = (4, 25)
     _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
                                                 [0, 0, 2, 2])
     assert [k * 3 + row for k, row in deferred][:4] == [0, 1, 2, 13]
+    # Raising at the first condition leaves the identity untouched.
     _, cd, _, _, error = _assert_sweeps_match(start, nodes, weights,
-                                              [0, 0, 2, 2], defer=False)
+                                              [0, 0, 2, 2], defer=False,
+                                              exact=True)
     assert error is not None and cd.tolist() == [0, 0, 2, 2]
     _, cd, _, _, error = _assert_sweeps_match(start, nodes[3:], weights[3:],
                                               [0, 0, 2, 2], defer=False)
@@ -531,13 +632,14 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
 
 
 def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
-    # Against the identity, phi is the weight row itself.  Two candidates of
-    # equal magnitude: the first pivots.
+    # Against the identity, phi is the weight row itself, so a first step
+    # matches bit for bit.  Two candidates of equal magnitude: the first
+    # pivots.
     rng = np.random.default_rng(77)
-    start = tanint._Workspace(4, 9)
+    start = (4, 9)
     one = np.array([1.0j])
     _, cd, _, _, _ = _assert_sweeps_match(
-        start, one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2])
+        start, one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2], exact=True)
     assert cd.tolist() == [1, 0, 2, 2]
     # Conditions blind to columns 2 and 3 give them mu = 0 at every step,
     # so they are never mixed and keep length 1.
@@ -554,7 +656,7 @@ def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
     for v in values[apart[:4]] if apart.size else values[:1]:
         edge = max(np.abs(v[None])[0], abs(v))
         _assert_sweeps_match(start, one, np.array([[v, 0.0, 1.0, 0.0]]),
-                             [0, 0, 2, 2], threshold=edge)
+                             [0, 0, 2, 2], threshold=edge, exact=True)
 
 
 def test_scalar_sweep_matches_reference_from_a_full_basis():
@@ -562,39 +664,50 @@ def test_scalar_sweep_matches_reference_from_a_full_basis():
     # at full length; a continued sweep starts from uneven column lengths.
     rng = np.random.default_rng(76)
     p, length, count = 5, 9, 40
-    start = tanint._Workspace(p, length + 2 * count + 1)
-    start.c[:, :, :length] = crandn(rng, p, p, length)
-    start.lens[:] = length
-    start.length = length
+    start = (p, length + 2 * count + 1, crandn(rng, p, p, length), [length] * p)
     nodes = np.exp(2j * np.pi * rng.uniform(size=count))
     weights = crandn(rng, count, p)
     col_degrees = [1, 0, 1, 1, 0]
     ws, cd, _, _, error = _assert_sweeps_match(
         start, nodes, weights, col_degrees, threshold=1e-13, defer=False)
     assert error is None and ws.lens.min() < ws.length
-    _assert_sweeps_match(ws, nodes[::-1], crandn(rng, count, p), cd)
+    _assert_sweeps_match((p, ws.capacity, ws.view(), ws.lens), nodes[::-1],
+                         crandn(rng, count, p), cd)
 
 
 @pytest.mark.parametrize("problem", [
     lambda: random_problem("general", 512, np.random.default_rng(7)),
     lambda: _rect_problem(128, "p=1"),
 ], ids=["leaf-retries", "deferred-cleanup"])
-def test_scalar_sweep_gives_reference_bits_end_to_end(monkeypatch, problem):
+def test_scalar_sweep_matches_reference_end_to_end(monkeypatch, problem):
+    # Through the tree, its leaf retries and the cleanup, the library's
+    # sweep and the cube reference take the same decisions, and the bases
+    # agree to rounding, against the reference on one-ulp perturbed weights.
     system = assemble(problem())
+    perturbed = AssembledSystem(system.n, system.order, system.degree_bounds,
+                                _ulp_perturbed(system.weights), system.n_lim)
     found = []
-    for core in (tanint._serial_core, reference_serial_core):
+    for core, workspace, system in (
+            (tanint._serial_core, tanint._Workspace, system),
+            (reference_serial_core, CubeWorkspace, system),
+            (reference_serial_core, CubeWorkspace, perturbed)):
         monkeypatch.setattr(tanint, "_serial_core", core)
+        monkeypatch.setattr(tanint, "_Workspace", workspace)
         diag = TanIntDiagnostics()
         basis, cd, deferred = rec_tan_int(system, diagnostics=diag)
         serial, serial_cd, _ = serial_tan_int(*stride_conditions(system),
                                               -system.tau)
-        found.append((basis.coeffs, cd, diag.as_dict(), deferred,
-                      serial.coeffs, serial_cd))
-    new, ref = found
-    assert new[2]["leaf_retries"] + new[2]["difficult_points"] > 0
-    assert new[2:4] == ref[2:4]
-    for a, b in zip(new[:2] + new[4:], ref[:2] + ref[4:]):
-        assert _same_bits(a, b)
+        decisions = diag.as_dict()
+        scale = decisions.pop("max_column_scale")
+        found.append((decisions, deferred, cd, serial_cd, scale,
+                      basis.coeffs, serial.coeffs))
+    new, ref, pert = found
+    assert new[0]["leaf_retries"] + new[0]["difficult_points"] > 0
+    assert new[:2] == ref[:2] == pert[:2]
+    assert _same_bits(new[2], ref[2]) and _same_bits(new[3], ref[3])
+    assert abs(new[4] - ref[4]) <= max(1e-12 * ref[4], 10.0 * abs(pert[4] - ref[4]))
+    for a, b, c in zip(new[5:], ref[5:], pert[5:]):
+        _assert_close_by_column(a, b, c)
 
 
 # -------------------------------------------------------------- extraction
