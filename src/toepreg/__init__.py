@@ -6,7 +6,6 @@ from .solver import (
     CGConfig,
     NormalOperator,
     SolveReport,
-    SolverConfig,
     apply_normal_operator,
     cg_solve,
     dense_oracle,
@@ -39,7 +38,6 @@ __all__ = [
     "CGConfig",
     "NormalOperator",
     "SolveReport",
-    "SolverConfig",
     "apply_normal_operator",
     "cg_solve",
     "dense_oracle",

@@ -26,7 +26,7 @@ from .experiments import (
     write_rows,
 )
 from .nufft import NufftConfig, run_nufft
-from .solver import SolverConfig, solve_tikhonov
+from .solver import solve_tikhonov
 from .tanint import SingularSystemError
 from .toeplitz import (
     HermitianToeplitzSpec,
@@ -82,10 +82,6 @@ def _hermitian_from_spec(spec: ToeplitzSpec) -> HermitianToeplitzSpec:
     if n > 1 and np.abs(gen[:n - 1][::-1] - np.conj(gen[n:])).max() > 1e-10 * scale:
         raise ValueError("Gramian matrix is not Hermitian")
     return HermitianToeplitzSpec(n, gen[n - 1:])
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(n_lim=args.nlim)
 
 
 def _random_problem(args) -> ProblemSpec:
@@ -151,7 +147,7 @@ def _cmd_solve(args) -> int:
         _check_input_flags(args)
     _check_variant_flags(args)
     problem = _file_problem(args) if args.input else _random_problem(args)
-    report = solve_tikhonov(problem, _solver_config(args))
+    report = solve_tikhonov(problem)
     print(f"variant={report.variant} n={problem.n} wall_s={report.wall_time:.6f} "
           f"rel_residual={report.relative_residual:.3e} "
           f"difficult_points={report.diagnostics.difficult_points}")
@@ -165,7 +161,7 @@ def _cmd_solve(args) -> int:
 def _experiment_config(args) -> ExperimentConfig:
     variants = VARIANTS if args.variant == "all" else (args.variant,)
     return ExperimentConfig(variants=variants, sizes=args.sizes, trials=args.trials,
-                            seed=args.seed, n_lim=args.nlim)
+                            seed=args.seed)
 
 
 def _maybe_write(args, rows):
@@ -206,7 +202,7 @@ def _cmd_cg_equiv(args) -> int:
 def _cmd_nufft(args) -> int:
     cfg = NufftConfig(n=args.n, samples=args.samples, components=args.components,
                       f_max=args.f_max, reg_scale=args.reg_scale, seed=args.seed,
-                      n_lim=args.nlim, compute_condition=args.condition)
+                      compute_condition=args.condition)
     report = run_nufft(cfg)
     keys = ["n", "samples", "reg_scale", "seed", "wall_direct", "wall_cg",
             "cg_iterations", "rel_err_direct", "rel_err_cg",
@@ -224,11 +220,6 @@ def _cmd_nufft(args) -> int:
     return 0
 
 
-def _add_solver_flags(sub):
-    sub.add_argument("--nlim", type=int, default=256,
-                     help="serial base-case size for the recursion")
-
-
 def _add_experiment_flags(sub):
     sub.add_argument("--variant", choices=VARIANTS + ("all",), default="all")
     sub.add_argument("--sizes", type=_parse_sizes, default=(256, 512, 1024))
@@ -236,7 +227,6 @@ def _add_experiment_flags(sub):
     sub.add_argument("--seed", type=int, default=2024)
     sub.add_argument("--out", help="write result rows to this path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_solver_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int,
                        help="seed for a random instance (default 0)")
     solve.add_argument("--out", help="write the solution vector to this path")
-    _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
     complexity = subs.add_parser("complexity", help="timing sweep and model fit")
@@ -287,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     nufft.add_argument("--condition", action="store_true",
                        help="also report the dense condition number")
     nufft.add_argument("--out", help="write the full JSON report to this path")
-    _add_solver_flags(nufft)
     nufft.set_defaults(func=_cmd_nufft)
     return parser
 

@@ -16,7 +16,6 @@ import numpy as np
 from .solver import (
     CGConfig,
     NormalOperator,
-    SolverConfig,
     apply_normal_operator,
     cg_solve,
     dense_oracle,
@@ -49,16 +48,12 @@ class ExperimentConfig:
     sizes: tuple = (256, 512, 1024)
     trials: int = 3
     seed: int = 2024
-    n_lim: int = 256
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.sizes:
             raise ValueError("sizes must name at least one size")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(n_lim=self.n_lim)
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,8 @@ def random_problem(variant: str, n: int, rng: np.random.Generator,
     (both n when not given; the gramian variant has no data rows).  The
     ridge weight defaults to n^(1/4) and the Gramian diagonal is 10 sqrt(n),
     which keeps conditioning mild across sizes."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     m = n if m is None else m
     p = n if p is None else p
     if variant == "general":
@@ -132,7 +129,6 @@ def fit_complexity(sizes, times) -> ComplexityFit:
 
 def run_complexity(config: ExperimentConfig):
     """Timed solves over a size sweep.  Returns (rows, fits by variant)."""
-    solver_cfg = config.solver_config()
     rows = []
     fits = {}
     for variant in config.variants:
@@ -143,8 +139,8 @@ def run_complexity(config: ExperimentConfig):
                 rng = _trial_rng(config.seed, "complexity", variant, n, trial)
                 problem = random_problem(variant, n, rng)
                 if trial == 0:
-                    solve_tikhonov(problem, solver_cfg)  # warm caches
-                times.append(solve_tikhonov(problem, solver_cfg).wall_time)
+                    solve_tikhonov(problem)  # warm caches
+                times.append(solve_tikhonov(problem).wall_time)
             mean = float(np.mean(times))
             means.append(mean)
             rows.append({
@@ -161,7 +157,6 @@ def run_complexity(config: ExperimentConfig):
 def run_accuracy(config: ExperimentConfig):
     """Plant a known solution, push it through the normal operator, solve,
     and report the worst componentwise error per (variant, size)."""
-    solver_cfg = config.solver_config()
     rows = []
     for variant in config.variants:
         for n in config.sizes:
@@ -174,7 +169,7 @@ def run_accuracy(config: ExperimentConfig):
                 planted = ProblemSpec(variant=variant, T=problem.T, L=problem.L,
                                       G=problem.G, beta=problem.beta, b=None,
                                       normal_rhs=y)
-                report = solve_tikhonov(planted, solver_cfg)
+                report = solve_tikhonov(planted)
                 worst = max(worst, float(np.abs(report.x_hat - x_true).max()))
             rows.append({"variant": variant, "n": n, "max_err": worst})
     return rows
@@ -183,7 +178,6 @@ def run_accuracy(config: ExperimentConfig):
 def run_cg_equivalence(config: ExperimentConfig):
     """Give conjugate gradients exactly the direct solver's wall time and
     compare both against the dense reference."""
-    solver_cfg = config.solver_config()
     rows = []
     for variant in config.variants:
         for n in config.sizes:
@@ -193,7 +187,7 @@ def run_cg_equivalence(config: ExperimentConfig):
             for trial in range(config.trials):
                 rng = _trial_rng(config.seed, "cg", variant, n, trial)
                 problem = random_problem(variant, n, rng)
-                report = solve_tikhonov(problem, solver_cfg)
+                report = solve_tikhonov(problem)
                 op = NormalOperator(problem)
                 x_cg, it = cg_solve(problem, CGConfig(
                     tolerance=0.0, time_budget=report.wall_time), operator=op)

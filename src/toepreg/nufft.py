@@ -19,7 +19,6 @@ import numpy as np
 from .solver import (
     CGConfig,
     NormalOperator,
-    SolverConfig,
     cg_solve,
     dense_normal_matrix,
     solve_tikhonov,
@@ -45,7 +44,6 @@ class NufftConfig:
     f_max: float = 0.02
     reg_scale: float = 1e-4
     seed: int = 0
-    n_lim: int = 256
     compute_condition: bool = False
 
     def __post_init__(self):
@@ -151,8 +149,7 @@ def run_nufft(config: NufftConfig = None) -> dict:
     reg = second_difference_regularizer(cfg.n, cfg.reg_scale)
     problem = ProblemSpec.gramian(gram, reg, rhs)
 
-    solver_cfg = SolverConfig(n_lim=cfg.n_lim)
-    report = solve_tikhonov(problem, solver_cfg)
+    report = solve_tikhonov(problem)
 
     op = NormalOperator(problem)
     t0 = time.perf_counter()
@@ -184,6 +181,8 @@ def run_nufft(config: NufftConfig = None) -> dict:
         "x_cg_im": x_cg.imag.tolist(),
     }
     if cfg.compute_condition:
+        # The normal matrix is positive semidefinite; a smallest eigenvalue
+        # that rounds to zero or below means it is numerically singular.
         eig = np.linalg.eigvalsh(dense_normal_matrix(problem))
-        out["condition"] = float(eig[-1] / eig[0])
+        out["condition"] = float(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
     return out

@@ -25,7 +25,6 @@ from .toeplitz import (
 )
 
 __all__ = [
-    "SolverConfig",
     "SolveReport",
     "solve_tikhonov",
     "dense_normal_matrix",
@@ -35,11 +34,6 @@ __all__ = [
     "CGConfig",
     "cg_solve",
 ]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    n_lim: int = 256
 
 
 @dataclass
@@ -54,12 +48,11 @@ class SolveReport:
     basis: MatrixPoly
 
 
-def solve_tikhonov(problem: ProblemSpec, config: SolverConfig = None) -> SolveReport:
+def solve_tikhonov(problem: ProblemSpec) -> SolveReport:
     """Solve one instance; wall_time covers the solve itself, not the
     residual verification that follows it."""
-    cfg = config or SolverConfig()
     start = time.perf_counter()
-    system = assemble(problem, n_lim=cfg.n_lim)
+    system = assemble(problem)
     diag = TanIntDiagnostics()
     basis, col_degrees, _ = rec_tan_int(system, diagnostics=diag)
     x = extract_solution(basis, col_degrees, problem.n)

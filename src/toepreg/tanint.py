@@ -6,6 +6,15 @@ basis reduced with respect to a shifted degree vector tau.  Conditions are
 absorbed one at a time by rank-one elementary factors; a divide and conquer
 driver splits the nodes into root-of-unity cosets so updates ride the FFT.
 
+The tree is the one ``opt_extend`` sized the order for, N = 2**p * M.
+Every node is a pair of adjacent cosets {o, o + 1} mod a power-of-two
+stride, the root the pair (0, 1) at stride 2, and one split halves a node
+into the pairs (o, o + 1) and (o + s, o + s + 1) at stride 2s.  A leaf
+holds at most the system's ``n_lim`` conditions: the pairs of M-node
+cosets at stride 2**p, or the root alone when p <= 1.  Each leaf basis is
+checked on its own cosets by the same grid evaluation that carries a left
+basis into its right sibling's weights.
+
 Column degree bookkeeping is exact integer arithmetic: every absorbed
 condition raises exactly one column's shifted degree by one, and the pivot
 always comes from the currently lowest columns, which is what keeps the
@@ -42,9 +51,9 @@ basis, and folded in by one combine product.  A deferred condition thus
 costs one more leaf-sized sweep, not a step over the full-length basis.
 
 The column degrees are a plain int64 array that starts at ``-tau`` and is
-raised in place as conditions are absorbed; the leaf budget is the
-``n_lim`` that ``assemble`` sized the circulant extension for, read from
-the system, so the extension and the tree's split cannot disagree.
+raised in place as conditions are absorbed.  The leaf budget is set in one
+place, ``assemble``'s ``n_lim``, and read from the system it returns, so
+the extension and the tree's split cannot disagree.
 """
 
 from __future__ import annotations
@@ -307,17 +316,6 @@ def _leaf_orders(count: int):
     yield _stride_order(count)[::-1]
 
 
-def _self_residual(coeffs, nodes, w_in, scale: float) -> float:
-    """Worst residual of a basis over the given conditions, relative to the
-    weight scale.  Direct evaluation; intended for leaf-sized node sets."""
-    if scale == 0.0:
-        return 0.0
-    zp = nodes[:, None] ** np.arange(coeffs.shape[2])[None, :]
-    vals = np.einsum("ijl,kl->kij", coeffs, zp)
-    res = np.einsum("rki,kij->rkj", w_in, vals)
-    return float(np.abs(res).max() / scale)
-
-
 def _flatten(weights, nodes, order):
     """Node-major flattening of the conditions at the node indices ``order``,
     taken in that order: (nodes, weights, (index, row) refs), one per
@@ -329,7 +327,13 @@ def _flatten(weights, nodes, order):
 
 
 class _Engine:
-    """Divide and conquer over node cosets with paired interleaving.
+    """Divide and conquer over pairs of adjacent node cosets.
+
+    A node (o, s) holds the node indices k with k mod s equal to o or
+    o + 1; the root (0, 2) holds them all.  Its left half is (o, 2s) and
+    its right half (o + s, 2s).  A node is a leaf when it holds at most
+    ``n_lim`` conditions, or when 2s does not divide the order; only a
+    hand-built system reaches the second case, and keeps an oversized leaf.
 
     Weights are updated in place as left-subtree bases are produced, so a
     leaf always sees its conditions pre-multiplied by everything already
@@ -351,7 +355,7 @@ class _Engine:
 
     def run(self) -> MatrixPoly:
         self.diag.conditions_total = self.rows * self.order
-        basis = self._rec((0,), 1, 1)
+        basis = self._rec(0, 2, 1)
         basis = self._cleanup(basis)
         self.diag.difficult_points = len(self.deferred)
         # Leaves, combines, and the cleanup pass each leave their output
@@ -361,52 +365,37 @@ class _Engine:
 
     # -- tree walk ---------------------------------------------------------
 
-    def _count(self, offsets, stride) -> int:
-        return self.rows * len(offsets) * (self.order // stride)
-
-    def _indices(self, offsets, stride) -> np.ndarray:
-        parts = [np.arange(o, self.order, stride) for o in offsets]
-        return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-
-    def _split(self, offsets, stride):
-        n = self.order
-        if len(offsets) == 1:
-            o = offsets[0]
-            if n % (4 * stride) == 0:
-                return (o, o + stride), (o + 2 * stride, o + 3 * stride), 4 * stride
-            if n % (2 * stride) == 0:
-                return (o,), (o + stride,), 2 * stride
-            return None
-        o1, o2 = offsets
-        if n % (2 * stride) == 0:
-            return (o1, o2), (o1 + stride, o2 + stride), 2 * stride
-        return (o1,), (o2,), stride
-
-    def _rec(self, offsets, stride, depth) -> MatrixPoly:
+    def _rec(self, o, stride, depth) -> MatrixPoly:
         self.diag.recursion_depth = max(self.diag.recursion_depth, depth)
-        split = None
-        if self._count(offsets, stride) > self.n_lim:
-            split = self._split(offsets, stride)
-        if split is None:
-            return self._serial_leaf(offsets, stride)
-        left, right, new_stride = split
-        b_left = self._rec(left, new_stride, depth + 1)
-        self._update_weights(right, new_stride, b_left)
-        b_right = self._rec(right, new_stride, depth + 1)
+        child = 2 * stride
+        # The pair holds 2 * rows * order / stride conditions.
+        if 2 * self.rows * self.order <= self.n_lim * stride or self.order % child:
+            return self._serial_leaf(o, stride)
+        b_left = self._rec(o, child, depth + 1)
+        for c in (o + stride, o + stride + 1):
+            idx = np.arange(c, self.order, child)
+            self.weights[:, idx] = self._premultiplied(
+                self.weights[:, idx], b_left.coeffs, c, child)
+        b_right = self._rec(o + stride, child, depth + 1)
         prod = matpoly_multiply(b_left, b_right, extended=True).trimmed()
         factor = _normalize_columns(prod.coeffs)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return prod
 
-    def _update_weights(self, offsets, stride, basis: MatrixPoly):
-        for o in offsets:
-            idx = np.arange(o, self.order, stride)
-            vals = np.moveaxis(
-                grid_eval(basis.coeffs, self.order, offset=o, stride=stride), -1, 0)
-            self.weights[:, idx, :] = np.einsum(
-                "rji,jik->rjk", self.weights[:, idx, :], vals)
+    def _premultiplied(self, weights, coeffs, offset, stride) -> np.ndarray:
+        """Weights (rows, N // stride, p) at the nodes w**(offset + stride*t),
+        premultiplied by the basis ``coeffs`` evaluated there."""
+        vals = np.moveaxis(
+            grid_eval(coeffs, self.order, offset=offset, stride=stride), -1, 0)
+        return np.einsum("rji,jik->rjk", weights, vals)
 
-    def _serial_leaf(self, offsets, stride) -> MatrixPoly:
+    @staticmethod
+    def _cosets(o, stride):
+        """The node cosets (offset, stride) of the pair {o, o + 1} mod
+        ``stride``; the root leaf is the whole grid, one coset at stride 1."""
+        return [(0, 1)] if stride == 2 else [(o, stride), (o + 1, stride)]
+
+    def _serial_leaf(self, o, stride) -> MatrixPoly:
         """Absorb one leaf's conditions, retrying under alternative orders.
 
         The per-step pivot rule only sees conditions already absorbed, so a
@@ -414,14 +403,18 @@ class _Engine:
         exposes as poor, and no downstream stage can repair a leaf basis.
         The basis is therefore checked against the leaf's own conditions and
         the sweep rerun under a different absorption order when the check
-        fails.  The pivot rule, threshold, and deferral policy are identical
-        in every attempt; only the condition order changes.  Conditions the
-        attempt deferred belong to the cleanup pass and are left out of its
-        check.
+        fails.  The check evaluates the basis on the leaf's cosets as a
+        weight update does and asks that the leaf's weights, premultiplied
+        by it, vanish.  The pivot rule, threshold, and deferral policy are
+        identical in every attempt; only the condition order changes.
+        Conditions the attempt deferred belong to the cleanup pass and are
+        left out of its check.
         """
-        idx = self._indices(offsets, stride)
-        w_in = self.weights[:, idx, :]
-        scale = float(np.abs(w_in).max())
+        cosets = self._cosets(o, stride)
+        parts = [np.arange(c, self.order, s) for c, s in cosets]
+        idx = np.sort(np.concatenate(parts))
+        w_in = [self.weights[:, part] for part in parts]
+        scale = max(float(np.abs(w).max()) for w in w_in)
         best = None
         for attempt, perm in enumerate(_leaf_orders(len(idx))):
             nodes, sub, refs = _flatten(self.weights, self.nodes, idx[perm])
@@ -433,12 +426,7 @@ class _Engine:
                          True, deferred, scratch)
             factor = max(ws.normalize(), scratch.max_column_scale)
             coeffs = ws.view()
-            w_chk = w_in
-            if deferred:
-                w_chk = w_in.copy()
-                for k, row in deferred:
-                    w_chk[row, np.searchsorted(idx, k)] = 0.0
-            res = _self_residual(coeffs, self.nodes[idx], w_chk, scale)
+            res = self._leaf_residual(coeffs, cosets, w_in, deferred, scale)
             if best is None or res < best[0]:
                 best = (res, coeffs, cd, deferred, factor)
             if best[0] <= _LEAF_CHECK_TOL:
@@ -449,6 +437,21 @@ class _Engine:
         self.deferred.extend(deferred)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return MatrixPoly(coeffs)
+
+    def _leaf_residual(self, coeffs, cosets, w_in, deferred, scale) -> float:
+        """Worst of the leaf's weights ``w_in`` (one array per coset),
+        premultiplied by the leaf basis, relative to ``scale``; the rows of
+        the ``deferred`` refs are left out."""
+        if scale == 0.0:
+            return 0.0
+        worst = 0.0
+        for (c, s), w in zip(cosets, w_in):
+            res = self._premultiplied(w, coeffs, c, s)
+            for k, row in deferred:
+                if (k - c) % s == 0:
+                    res[row, (k - c) // s] = 0.0
+            worst = max(worst, float(np.abs(res).max()))
+        return worst / scale
 
     # -- deferred conditions -----------------------------------------------
 

@@ -172,6 +172,10 @@ class ProblemSpec:
         b = np.asarray(b, dtype=np.complex128)
         if b.shape != (T.rows,):
             raise ValueError("right-hand side length must match the data rows")
+        if T.rows + L.rows < T.cols:
+            raise ValueError(
+                f"general problem is singular by shape: rank(T^H T + L^H L) <= "
+                f"m + p = {T.rows + L.rows} < n = {T.cols}")
         return cls(variant="general", T=T, L=L, b=b)
 
     @classmethod

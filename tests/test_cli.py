@@ -108,6 +108,18 @@ def test_unknown_flag_exits_two(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "complexity", "accuracy",
+                                     "cg-equiv", "nufft"])
+def test_nlim_is_an_unknown_flag(command, capsys):
+    # The leaf budget is fixed where the system is assembled; no command
+    # line sets it.
+    args = [command, "--nlim", "16"]
+    if command == "solve":
+        args += ["--variant", "l2", "--n", "8"]
+    assert main(args) == 2
+    assert "unrecognized arguments: --nlim" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_two():
     assert main([]) == 2
 
@@ -119,7 +131,7 @@ def test_bad_size_list_exits_two():
 @pytest.mark.parametrize("command", ["complexity", "accuracy", "cg-equiv"])
 def test_experiment_rejects_too_few_trials(command, capsys):
     # A sweep without trials used to print max_err 0 and nan means.
-    code = main([command, "--trials", "0", "--sizes", "16", "--nlim", "16"])
+    code = main([command, "--trials", "0", "--sizes", "16"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trials ")
@@ -178,6 +190,23 @@ def test_zero_block_rows_exit_two(capsys, flag):
     assert "dimensions must be positive" in capsys.readouterr().err
 
 
+def test_structurally_singular_general_shape_exits_two(capsys):
+    # m + p < n: rank(T^H T + L^H L) < n, so no solution is unique.
+    args = ["solve", "--variant", "general", "--n", "37", "--m", "7",
+            "--p", "29", "--seed", "0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "singular by shape" in err and "m + p = 36 < n = 37" in err
+
+
+@pytest.mark.parametrize("variant", ["general", "l2", "gramian"])
+def test_random_instance_without_unknowns_exits_two(variant, capsys):
+    assert main(["solve", "--variant", variant, "--n", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n must be at least 1, got 0")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant, flag, value", [
     ("gramian", "--m", "4"),
     ("l2", "--p", "4"),
@@ -230,7 +259,7 @@ def test_singular_system_exits_three(tmp_path, capsys):
 def test_complexity_csv(tmp_path, capsys):
     out = tmp_path / "times.csv"
     code = main(["complexity", "--variant", "l2", "--sizes", "16,32",
-                 "--trials", "2", "--seed", "1", "--nlim", "16",
+                 "--trials", "2", "--seed", "1",
                  "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -244,7 +273,7 @@ def test_complexity_csv(tmp_path, capsys):
 
 def test_accuracy_csv_is_byte_deterministic(tmp_path):
     args = ["accuracy", "--variant", "general", "--sizes", "16", "--trials", "2",
-            "--seed", "1", "--nlim", "16", "--out"]
+            "--seed", "1", "--out"]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     assert main(args + [str(first)]) == 0
@@ -255,7 +284,7 @@ def test_accuracy_csv_is_byte_deterministic(tmp_path):
 def test_cg_equiv_csv(tmp_path):
     out = tmp_path / "cg.csv"
     code = main(["cg-equiv", "--variant", "gramian", "--sizes", "16",
-                 "--trials", "1", "--seed", "2", "--nlim", "16",
+                 "--trials", "1", "--seed", "2",
                  "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -265,7 +294,7 @@ def test_cg_equiv_csv(tmp_path):
 
 def test_nufft_subcommand(tmp_path, capsys):
     out = tmp_path / "nufft.json"
-    code = main(["nufft", "--n", "32", "--samples", "48", "--nlim", "32",
+    code = main(["nufft", "--n", "32", "--samples", "48",
                  "--seed", "4", "--out", str(out)])
     assert code == 0
     assert "rel_residual_direct=" in capsys.readouterr().out
@@ -284,7 +313,7 @@ def test_nufft_subcommand(tmp_path, capsys):
     (["--f-max", "-0.1"], "f_max"),
 ])
 def test_nufft_rejects_bad_config(flags, field, capsys):
-    code = main(["nufft", "--n", "16", "--samples", "16", "--nlim", "16"] + flags)
+    code = main(["nufft", "--n", "16", "--samples", "16"] + flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ")
@@ -329,7 +358,7 @@ def test_console_script_help():
 def test_json_output_format(tmp_path):
     out = tmp_path / "rows.json"
     code = main(["accuracy", "--variant", "l2", "--sizes", "16", "--trials", "1",
-                 "--seed", "1", "--nlim", "16", "--format", "json",
+                 "--seed", "1", "--format", "json",
                  "--out", str(out)])
     assert code == 0
     rows = json.loads(out.read_text())

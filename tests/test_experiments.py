@@ -59,8 +59,8 @@ def test_random_problem_families():
 
 def test_random_problem_block_shapes():
     rng = np.random.default_rng(43)
-    general = random_problem("general", 16, rng, m=4, p=1)
-    assert general.T.shape == (4, 16) and general.L.shape == (1, 16)
+    general = random_problem("general", 16, rng, m=4, p=12)
+    assert general.T.shape == (4, 16) and general.L.shape == (12, 16)
     assert general.b.shape == (4,)
     assert random_problem("l2", 16, rng, beta=0.5).beta == 0.5
     assert random_problem("gramian", 16, rng, p=3).L.shape == (3, 16)
@@ -94,8 +94,7 @@ def test_experiment_config_rejects_empty_sweeps(fields, named):
 
 
 def test_run_complexity_schema():
-    cfg = ExperimentConfig(variants=("l2",), sizes=(16, 32), trials=2, seed=3,
-                           n_lim=16)
+    cfg = ExperimentConfig(variants=("l2",), sizes=(16, 32), trials=2, seed=3)
     rows, fits = run_complexity(cfg)
     assert len(rows) == 2
     assert list(rows[0]) == ["variant", "n", "params", "mean_s", "median_s"]
@@ -105,7 +104,7 @@ def test_run_complexity_schema():
 
 
 def test_run_accuracy_planted_errors_are_tiny():
-    cfg = ExperimentConfig(sizes=(16,), trials=3, seed=4, n_lim=16)
+    cfg = ExperimentConfig(sizes=(16,), trials=3, seed=4)
     rows = run_accuracy(cfg)
     assert [row["variant"] for row in rows] == ["general", "l2", "gramian"]
     assert list(rows[0]) == ["variant", "n", "max_err"]
@@ -113,14 +112,13 @@ def test_run_accuracy_planted_errors_are_tiny():
 
 
 def test_run_accuracy_is_deterministic():
-    cfg = ExperimentConfig(variants=("general",), sizes=(16,), trials=2, seed=9,
-                           n_lim=16)
+    cfg = ExperimentConfig(variants=("general",), sizes=(16,), trials=2, seed=9)
     assert run_accuracy(cfg) == run_accuracy(cfg)
 
 
 def test_run_cg_equivalence_schema():
     cfg = ExperimentConfig(variants=("l2", "gramian"), sizes=(16,), trials=1,
-                           seed=5, n_lim=16)
+                           seed=5)
     rows = run_cg_equivalence(cfg)
     assert list(rows[0]) == ["variant", "n", "mean_iters",
                              "cg_max_err", "direct_max_err"]

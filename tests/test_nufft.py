@@ -100,7 +100,7 @@ def test_make_signal_is_real_and_bounded():
 
 
 def test_run_nufft_report():
-    cfg = NufftConfig(n=64, samples=96, components=2, seed=3, n_lim=32)
+    cfg = NufftConfig(n=64, samples=96, components=2, seed=3)
     out = run_nufft(cfg)
     assert out["n"] == 64 and out["samples"] == 96 and out["seed"] == 3
     assert abs(out["weights_sum"] - 1.0) < 1e-12
@@ -112,7 +112,7 @@ def test_run_nufft_report():
 
 
 def test_run_nufft_is_deterministic():
-    cfg = NufftConfig(n=48, samples=48, seed=9, n_lim=32)
+    cfg = NufftConfig(n=48, samples=48, seed=9)
     first = run_nufft(cfg)
     second = run_nufft(cfg)
     # CG runs under a wall-clock budget, so only the direct path is
@@ -122,9 +122,18 @@ def test_run_nufft_is_deterministic():
 
 
 def test_run_nufft_condition_estimate():
-    cfg = NufftConfig(n=32, samples=48, seed=1, n_lim=32, compute_condition=True)
+    cfg = NufftConfig(n=32, samples=48, seed=1, compute_condition=True)
     out = run_nufft(cfg)
     assert out["condition"] >= 1.0
+
+
+def test_run_nufft_condition_of_a_singular_system_is_inf():
+    # One sample makes the Gramian rank one, and the weak regularizer leaves
+    # the normal matrix numerically singular: its smallest eigenvalue rounds
+    # below zero, which a signed eigenvalue ratio reported as -1.9e17.
+    cfg = NufftConfig(n=32, samples=1, seed=0, reg_scale=1e-6,
+                      compute_condition=True)
+    assert run_nufft(cfg)["condition"] == math.inf
 
 
 def direct_phases(freqs, n, sign):

@@ -9,14 +9,19 @@ from toepreg import experiments
 from toepreg.solver import (
     CGConfig,
     NormalOperator,
-    SolverConfig,
     apply_normal_operator,
     cg_solve,
     dense_normal_matrix,
     dense_oracle,
     solve_tikhonov,
 )
-from toepreg.tanint import SingularSystemError, extract_solution
+from toepreg.extension import assemble
+from toepreg.tanint import (
+    SingularSystemError,
+    TanIntDiagnostics,
+    extract_solution,
+    rec_tan_int,
+)
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec
 
 
@@ -143,13 +148,19 @@ def test_non_finite_solution_raises():
         solve_tikhonov(problem)
 
 
-def test_config_controls_recursion():
+def test_leaf_budget_controls_recursion():
+    # The leaf budget is set in one place, ``assemble``.
     rng = np.random.default_rng(16)
     problem = random_problem("l2", 64, rng)
-    serial_like = solve_tikhonov(problem, SolverConfig(n_lim=4096))
-    recursive = solve_tikhonov(problem, SolverConfig(n_lim=64))
-    assert recursive.diagnostics.recursion_depth > serial_like.diagnostics.recursion_depth
-    assert rel_err(recursive.x_hat, serial_like.x_hat) < 1e-9
+    found = {}
+    for n_lim in (4096, 64):
+        diag = TanIntDiagnostics()
+        basis, cd, _ = rec_tan_int(assemble(problem, n_lim=n_lim), diagnostics=diag)
+        found[n_lim] = (diag.recursion_depth, extract_solution(basis, cd, problem.n))
+    (serial_depth, serial_x), (depth, x) = found[4096], found[64]
+    assert depth > serial_depth == 1
+    assert rel_err(x, serial_x) < 1e-9
+    assert rel_err(solve_tikhonov(problem).x_hat, serial_x) < 1e-9
 
 
 def test_dense_oracle_size_guard():

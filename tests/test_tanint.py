@@ -22,8 +22,8 @@ from helpers import (
     stride_conditions,
     tau_degree,
 )
-from toepreg.experiments import random_problem
-from toepreg.extension import AssembledSystem, assemble
+from toepreg.experiments import VARIANTS, random_problem
+from toepreg.extension import AssembledSystem, assemble, opt_extend
 from toepreg.fftpoly import MatrixPoly, matpoly_multiply
 from toepreg.solver import apply_normal_operator
 from toepreg.tanint import (
@@ -386,16 +386,22 @@ def test_recursive_defers_few_points_at_scale():
     assert res < 1e-8 * np.abs(system.weights).max()
 
 
+def _leaf_indices(order, o, stride):
+    """Node indices of the tree node {o, o + 1} mod stride (all at the root)."""
+    return np.concatenate([np.arange(c, order, s)
+                           for c, s in tanint._Engine._cosets(o, stride)])
+
+
 def _record_leaves(monkeypatch):
-    """Patch the engine to log (conditions, basis coeffs) of every leaf and
-    count every sweep; returns (leaves, sweeps)."""
+    """Patch the engine to log (conditions, basis coeffs, o, stride) of every
+    leaf and count every sweep; returns (leaves, sweeps)."""
     leaves, sweeps = [], []
     serial_leaf, serial_core = tanint._Engine._serial_leaf, tanint._serial_core
 
-    def leaf(self, offsets, stride):
-        basis = serial_leaf(self, offsets, stride)
-        leaves.append((self.rows * len(self._indices(offsets, stride)),
-                       basis.coeffs))
+    def leaf(self, o, stride):
+        basis = serial_leaf(self, o, stride)
+        count = self.rows * len(_leaf_indices(self.order, o, stride))
+        leaves.append((count, basis.coeffs, o, stride))
         return basis
 
     def core(*args):
@@ -415,8 +421,8 @@ def test_leaf_bases_carry_no_dead_tail(monkeypatch):
     basis, _, deferred = rec_tan_int(system)
     assert not deferred
     p = system.p
-    assert [k for k, _ in leaves] == [192] * 64 and p == 7
-    for k, coeffs in leaves:
+    assert [k for k, *_ in leaves] == [192] * 64 and p == 7
+    for k, coeffs, *_ in leaves:
         assert coeffs.shape == (p, p, k // (p - 1) + 1)
         assert np.abs(coeffs[:, :, -1]).max() > 0.0
     assert np.abs(basis.coeffs[:, :, -1]).max() > 0.0
@@ -432,6 +438,37 @@ def test_leaf_retries_count_extra_sweeps(monkeypatch, variant, retried):
     assert diag.leaf_retries == len(sweeps) - len(leaves)
     assert (diag.leaf_retries > 0) == retried
     assert diag.as_dict()["leaf_retries"] == diag.leaf_retries
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tree_leaves_are_the_coset_pairs_opt_extend_sized(monkeypatch, variant):
+    # opt_extend sizes N = 2**p * M; the tree's leaves are the pairs of
+    # M-node cosets at stride 2**p, or the root alone when p <= 1.  The
+    # second shape has an odd n_tilde, so an unsplit root has odd order.
+    leaves, _ = _record_leaves(monkeypatch)
+    for n in (1, 5, 16, 37, 100):
+        odd = {"p": n + 1} if variant == "gramian" else {"m": n + 1}
+        for shape in ({}, odd):
+            problem = random_problem(variant, n, np.random.default_rng(n), **shape)
+            rows = len(problem.factors) + 1
+            for n_lim in (8, 16, 64, 256):
+                if 4 * rows > n_lim:   # below opt_extend's smallest leaf pair
+                    continue
+                system = assemble(problem, n_lim=n_lim)
+                _, p, _ = opt_extend(problem.n_tilde, n_lim, rows=rows)
+                leaves.clear()
+                diag = TanIntDiagnostics()
+                rec_tan_int(system, diagnostics=diag)
+                found = np.concatenate([_leaf_indices(system.order, o, s)
+                                        for *_, o, s in leaves])
+                assert np.array_equal(np.sort(found), np.arange(system.order))
+                assert all(k <= n_lim for k, *_ in leaves)
+                if p <= 1:
+                    assert [(o, s) for *_, o, s in leaves] == [(0, 2)]
+                else:
+                    pairs = sorted((o, s) for *_, o, s in leaves)
+                    assert pairs == [(o, 2 ** p) for o in range(0, 2 ** p, 2)]
+                assert diag.recursion_depth == max(p, 1)
 
 
 def _rect_problem(n: int, shape: str):

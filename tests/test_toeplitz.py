@@ -175,6 +175,18 @@ def test_problem_spec_validation():
         ProblemSpec.gramian(g, random_spec(rng, 4, 3), np.ones(4))
 
 
+def test_general_rejects_shapes_singular_by_rank():
+    # rank(T^H T + L^H L) <= m + p, so m + p < n leaves the normal matrix
+    # singular whatever the entries are.
+    rng = np.random.default_rng(14)
+    n = 8
+    with pytest.raises(ValueError, match=r"singular by shape.*m \+ p = 7 < n = 8"):
+        ProblemSpec.general(random_spec(rng, 3, n), random_spec(rng, 4, n), np.ones(3))
+    problem = ProblemSpec.general(random_spec(rng, 3, n), random_spec(rng, 5, n),
+                                  np.ones(3))
+    assert problem.n == n
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
 
 
