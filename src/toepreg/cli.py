@@ -19,6 +19,7 @@ import numpy as np
 from .experiments import (
     VARIANTS,
     ExperimentConfig,
+    dump_json,
     random_problem,
     run_accuracy,
     run_cg_equivalence,
@@ -215,8 +216,7 @@ def _cmd_nufft(args) -> int:
         print(f"{key}={text}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh)
-            fh.write("\n")
+            dump_json(report, fh)
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "run_accuracy",
     "run_cg_equivalence",
     "write_rows",
+    "dump_json",
 ]
 
 VARIANTS = ("general", "l2", "gramian")
@@ -225,7 +227,24 @@ def write_rows(rows, path, fmt: str = "csv"):
                 writer.writerow([_format_cell(row[key]) for key in header])
     elif fmt == "json":
         with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+            dump_json(rows, fh, indent=2)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, in lists and dicts too, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def dump_json(obj, fh, indent=None):
+    """Write ``obj`` and a newline as strict JSON: an infinite or NaN float
+    becomes ``null``, since ``Infinity`` and ``NaN`` are not JSON."""
+    json.dump(_finite_or_null(obj), fh, indent=indent, allow_nan=False)
+    fh.write("\n")

@@ -45,10 +45,14 @@ another order.
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
 tree, the cleanup pass absorbs the deferred conditions, in sorted ref order
-then stride order, in batches of at most the system's ``n_lim``: each batch
-is swept like a leaf, against its weights premultiplied by the finished
-basis, and folded in by one combine product.  A deferred condition thus
+then stride order, in batches of at most the system's ``n_lim``.  Each
+batch is swept like a leaf and multiplied into a short running product of
+the batch bases; one long-double combine product then multiplies the tree
+basis by it, whatever the number of batches.  A deferred condition thus
 costs one more leaf-sized sweep, not a step over the full-length basis.
+Before each batch the running product is scaled as the basis was when
+every batch had a full-length product of its own, so each batch takes the
+pivots it took then.
 
 The column degrees are a plain int64 array that starts at ``-tau`` and is
 raised in place as conditions are absorbed.  The leaf budget is set in one
@@ -62,10 +66,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as _sfft
 from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
-from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply
+from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply, next_fast_len
 
 __all__ = [
     "SingularSystemError",
@@ -223,6 +228,23 @@ def _normalize_columns(coeffs) -> float:
     return float(safe.max())
 
 
+def _transform(coeffs, length: int) -> np.ndarray:
+    """A (p, p, L) coefficient array's transform at ``next_fast_len(length)``
+    points, node-major: (points, p, p)."""
+    return _sfft.fft(coeffs.transpose(2, 0, 1), next_fast_len(length), axis=0)
+
+
+def _column_peaks(left_hat, coeffs) -> np.ndarray:
+    """Largest coefficient magnitude of each column of the product A C, in
+    double precision, for the A whose ``_transform`` is ``left_hat``; that
+    transform must be at least the product's length.  All-zero columns give
+    1, as in ``_normalize_columns``."""
+    right_hat = _transform(coeffs, len(left_hat))
+    prod = _sfft.ifft(left_hat @ right_hat, axis=0, overwrite_x=True)
+    peaks = np.abs(prod).max(axis=(0, 1))
+    return np.where(peaks > 0.0, peaks, 1.0)
+
+
 def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                  defer, deferred, diag):
     """Absorb the given conditions in order into the workspace.
@@ -339,7 +361,8 @@ class _Engine:
     leaf always sees its conditions pre-multiplied by everything already
     absorbed.  The pristine originals are kept for the cleanup pass, which
     absorbs the deferred conditions after the tree in leaf-sized batches,
-    each folded in by one combine product like a further right subtree.
+    gathers the batch bases in a short running product, and folds that into
+    the tree basis with one combine product.
     """
 
     def __init__(self, system, diag):
@@ -455,37 +478,65 @@ class _Engine:
 
     # -- deferred conditions -----------------------------------------------
 
-    def _cleanup(self, basis: MatrixPoly) -> MatrixPoly:
-        """Absorb the deferred conditions into the finished basis.
+    def _cleanup(self, tree: MatrixPoly) -> MatrixPoly:
+        """Absorb the deferred conditions into the tree basis.
 
         The refs, sorted and then in stride order, go in batches of at most
-        ``n_lim`` conditions.  Each batch is a right subtree of its own: its
-        pristine weights are premultiplied by the current basis (one
-        evaluation on the node grid), swept into a fresh leaf-sized
-        workspace, and the batch basis is folded in by one product, exactly
-        as ``_rec`` combines.  A deferred condition thus costs one more leaf-sized
-        sweep, not a step over the full basis.  Against the full basis the
-        once-ambiguous pivots are decided; any residual underflow here is a
-        genuinely singular system.
+        ``n_lim`` conditions; their pristine weights are premultiplied once
+        by the tree basis on the node grid.  Each batch is a right subtree
+        of its own: its weights, premultiplied further by the running
+        product R of the batch bases so far at the batch's nodes, are swept
+        into a fresh leaf-sized workspace, and the batch basis joins R
+        through one short extended product.  One extended product, the only
+        one as long as the tree basis, then forms tree x R, column-normalized
+        as ``_rec`` normalizes a combine.
+
+        Before each batch after the first, R's columns are divided by the
+        column maxima of tree x R: the divisors the basis had when each
+        batch was folded in by its own full-length product, so the weights
+        scale as they did then and every batch takes the same pivots.  The
+        divisors come from a double-precision product that nothing else
+        reads, and one transform of the tree serves them all.  Against the
+        full basis the once-ambiguous pivots are decided; any residual
+        underflow here is a genuinely singular system.
         """
         if not self.deferred:
-            return basis
+            return tree
         points = sorted(self.deferred)
         points = [points[i] for i in _stride_order(len(points))]
+        index, row = np.array(points).T
+        vals = grid_eval(tree.coeffs, self.order)[:, :, index]
+        premult = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
         p = self.weights.shape[2]
+        run = tree_hat = None
         for start in range(0, len(points), self.n_lim):
-            refs = points[start:start + self.n_lim]
-            index, row = np.array(refs).T
-            vals = grid_eval(basis.coeffs, self.order)[:, :, index]
-            weights = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
-            ws = _Workspace(p, len(refs) + 1)
-            _serial_core(ws, self.nodes[index], weights, refs, self.col_degrees,
-                         1e-13, False, [], self.diag)
+            batch = slice(start, start + self.n_lim)
+            weights = premult[batch]
+            if run is not None:
+                vals = grid_eval(run.coeffs, self.order)[:, :, index[batch]]
+                weights = np.einsum("ti,ijt->tj", weights, vals)
+            ws = _Workspace(p, len(weights) + 1)
+            _serial_core(ws, self.nodes[index[batch]], weights, points[batch],
+                         self.col_degrees, 1e-13, False, [], self.diag)
             factor = ws.normalize()
-            basis = matpoly_multiply(basis, MatrixPoly(ws.view()),
-                                     extended=True).trimmed()
-            factor = max(factor, _normalize_columns(basis.coeffs))
+            step = MatrixPoly(ws.view())
+            run = step if run is None else matpoly_multiply(run, step, extended=True)
+            if batch.stop < len(points):
+                # Scale as the per-batch product would be normalized.  One
+                # transform of the tree serves the scale products, sized for
+                # the last on the guess that no later batch basis is longer
+                # than this one; a product that outgrows it transforms again.
+                need = tree.length + run.length - 1
+                if tree_hat is None or len(tree_hat) < need:
+                    later = (len(points) - batch.stop - 1) // self.n_lim
+                    tree_hat = _transform(tree.coeffs, need + later * step.length)
+                peaks = _column_peaks(tree_hat, run.coeffs)
+                run.coeffs /= peaks[None, :, None]
+                factor = max(factor, float(peaks.max()))
             self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
+        basis = matpoly_multiply(tree, run, extended=True).trimmed()
+        factor = _normalize_columns(basis.coeffs)
+        self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return basis
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from toepreg import tanint
 from toepreg.extension import AssembledSystem, extended_generating_sequence
-from toepreg.fftpoly import MatrixPoly, grid_eval
+from toepreg.fftpoly import MatrixPoly, grid_eval, matpoly_multiply
 from toepreg.solver import dense_normal_matrix
 from toepreg.tanint import SingularSystemError
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
@@ -234,6 +234,35 @@ def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
                         refs, engine.col_degrees, 1e-13, False, [], engine.diag)
     ws.normalize()
     return MatrixPoly(ws.view())
+
+
+def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
+    """Reference for ``_Engine._cleanup``: the same batches, each folded
+    into the full-length basis by its own extended product.
+
+    Each batch's pristine weights are premultiplied by the current basis on
+    the node grid, swept into a fresh leaf-sized workspace, and the batch
+    basis multiplied in, after which the product's columns are normalized.
+    The library's pass must take the same pivots in every batch."""
+    if not engine.deferred:
+        return basis
+    points = sorted(engine.deferred)
+    points = [points[i] for i in tanint._stride_order(len(points))]
+    p = engine.weights.shape[2]
+    for start in range(0, len(points), engine.n_lim):
+        refs = points[start:start + engine.n_lim]
+        index, row = np.array(refs).T
+        vals = grid_eval(basis.coeffs, engine.order)[:, :, index]
+        weights = np.einsum("ti,ijt->tj", engine.pristine[row, index], vals)
+        ws = tanint._Workspace(p, len(refs) + 1)
+        tanint._serial_core(ws, engine.nodes[index], weights, refs,
+                            engine.col_degrees, 1e-13, False, [], engine.diag)
+        factor = ws.normalize()
+        basis = matpoly_multiply(basis, MatrixPoly(ws.view()),
+                                 extended=True).trimmed()
+        factor = max(factor, tanint._normalize_columns(basis.coeffs))
+        engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
+    return basis
 
 
 # -- the one-pass serial driver ----------------------------------------------

@@ -1,6 +1,7 @@
 """Command line wiring: subcommands, JSON input plumbing, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 import toepreg
 from helpers import dense_tikhonov, random_spec
 from toepreg.cli import main
-from toepreg.experiments import random_problem
+from toepreg.experiments import random_problem, write_rows
 from toepreg.toeplitz import ProblemSpec, ToeplitzSpec, spec_to_json, vector_to_json
 
 
@@ -301,6 +302,31 @@ def test_nufft_subcommand(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["n"] == 32
     assert len(report["x_direct_re"]) == 32
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_nufft_condition_is_strict_json(tmp_path, capsys):
+    # A numerically singular Gramian has an infinite condition number; the
+    # file says null, which strict parsers accept, and stdout says inf.
+    out = tmp_path / "nufft.json"
+    code = main(["nufft", "--n", "32", "--samples", "1", "--reg-scale", "1e-6",
+                 "--condition", "--out", str(out)])
+    assert code == 0
+    assert "condition=inf" in capsys.readouterr().out.splitlines()
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["condition"] is None
+    assert report["n"] == 32
+
+
+def test_json_rows_write_non_finite_floats_as_null(tmp_path):
+    out = tmp_path / "rows.json"
+    write_rows([{"n": 4, "err": math.inf}, {"n": 8, "err": math.nan},
+                {"n": 16, "err": 0.5}], out, "json")
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert [row["err"] for row in rows] == [None, None, 0.5]
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -12,6 +12,7 @@ from helpers import (
     full_basis_cleanup,
     identity_poly,
     load_store,
+    per_batch_cleanup,
     poly_eval,
     random_spec,
     reference_serial_core,
@@ -503,6 +504,59 @@ def test_batched_cleanup_matches_full_basis_reference(monkeypatch, n, shape):
     assert err <= 10.0 * ref_err
 
 
+def test_column_peaks_are_the_product_column_maxima():
+    # One transform of the left factor, at least as long as each product,
+    # serves right factors of any length; an all-zero column gives 1.
+    rng = np.random.default_rng(77)
+    left = crandn(rng, 5, 5, 40)
+    left_hat = tanint._transform(left, 40 + 30 - 1)
+    for length in (1, 12, 30):
+        right = crandn(rng, 5, 5, length)
+        right[:, 3] = 0.0
+        expected = np.abs(matpoly_multiply(left, right)).max(axis=(0, 2))
+        expected[3] = 1.0
+        peaks = tanint._column_peaks(left_hat, right)
+        assert np.allclose(peaks, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", ["m=n/4", "p=1"])
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_cleanup_takes_the_per_batch_pivots(monkeypatch, n, shape):
+    # The running product, scaled as the per-batch products are normalized,
+    # leaves every batch the same pivots: the column degrees after each
+    # cleanup sweep are the reference's.
+    problem = _rect_problem(n, shape)
+    system = assemble(problem)
+    rhs = problem.normal_rhs_vector()
+    exact = dense_tikhonov(problem)
+    serial_core = tanint._serial_core
+    found = {}
+    for name, cleanup in (("running", tanint._Engine._cleanup),
+                          ("reference", per_batch_cleanup)):
+        snapshots = []
+
+        def core(ws, nodes, weights, refs, col_degrees, threshold, defer, *rest):
+            serial_core(ws, nodes, weights, refs, col_degrees, threshold, defer, *rest)
+            if not defer:
+                snapshots.append(col_degrees.tolist())
+
+        monkeypatch.setattr(tanint, "_serial_core", core)
+        monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
+        diag = TanIntDiagnostics()
+        basis, cd, _ = rec_tan_int(system, diagnostics=diag)
+        x = extract_solution(basis, cd, n)
+        residual = (np.linalg.norm(apply_normal_operator(problem, x) - rhs)
+                    / np.linalg.norm(rhs))
+        found[name] = (snapshots, diag.difficult_points, residual, rel_err(x, exact))
+    (snaps, deferred, res, err), (ref_snaps, ref_deferred, _, ref_err) = (
+        found["running"], found["reference"])
+    assert len(ref_snaps) == -(-deferred // system.n_lim)
+    assert snaps == ref_snaps
+    assert deferred == ref_deferred > 0
+    assert res < 1e-8
+    assert err <= 10.0 * ref_err
+
+
 @pytest.mark.parametrize("cleanup", [tanint._Engine._cleanup, full_basis_cleanup],
                          ids=["batched", "reference"])
 def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
@@ -519,19 +573,33 @@ def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
 
 
 def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
-    sweeps = []
-    serial_core = tanint._serial_core
+    sweeps, products, trees = [], [], []
+    serial_core, multiply = tanint._serial_core, tanint.matpoly_multiply
+    cleanup = tanint._Engine._cleanup
 
     def core(ws, nodes, *args):
         sweeps.append((len(nodes), ws.capacity))
         return serial_core(ws, nodes, *args)
 
+    def product(a, b, extended=False):
+        if trees:
+            products.append((a.length, b.length, extended))
+        return multiply(a, b, extended=extended)
+
+    def traced_cleanup(self, tree):
+        trees.append(tree.length)
+        return cleanup(self, tree)
+
     monkeypatch.setattr(tanint, "_serial_core", core)
+    monkeypatch.setattr(tanint, "matpoly_multiply", product)
+    monkeypatch.setattr(tanint._Engine, "_cleanup", traced_cleanup)
     # The tree and the cleanup take their budget from the assembled system,
     # so a budget below the default holds without being passed again.
     for n_lim in (256, 64):
         system = assemble(_rect_problem(512, "m=n/4"), n_lim=n_lim)
         sweeps.clear()
+        products.clear()
+        trees.clear()
         diag = TanIntDiagnostics()
         rec_tan_int(system, diagnostics=diag)
         assert diag.difficult_points > 0
@@ -541,6 +609,15 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
         assert (sum(count for count, _ in sweeps)
                 == diag.conditions_total + diag.difficult_points)
         assert max(capacity for _, capacity in sweeps) <= n_lim + 1
+        # Whatever the batch count, the cleanup makes one extended product
+        # as long as the tree basis; the batch bases meet in short ones.
+        batches = -(-diag.difficult_points // n_lim)
+        assert batches > 1
+        full = [ext for a, b, ext in products if trees[0] in (a, b)]
+        short = [(a, b, ext) for a, b, ext in products if trees[0] not in (a, b)]
+        assert full == [True]
+        assert len(short) == batches - 1
+        assert all(ext and max(a, b) < trees[0] for a, b, ext in short)
 
 
 def test_recursive_final_degree_structure():
