@@ -50,9 +50,10 @@ def _parse_sizes(text: str):
 
 
 def _parse_beta_sq(text: str):
-    # "auto" keeps the size-based default |beta|^2 = sqrt(n).
+    # "auto" stays a string, so the flag counts as given; it keeps the
+    # size-based default |beta|^2 = sqrt(n).
     if text == "auto":
-        return None
+        return text
     try:
         return float(text)
     except ValueError:
@@ -98,7 +99,7 @@ def _random_problem(args) -> ProblemSpec:
 def _beta_value(args, n: int) -> complex:
     if args.beta is not None:
         return args.beta
-    if args.beta_sq is not None:
+    if args.beta_sq not in (None, "auto"):
         if args.beta_sq <= 0:
             raise ValueError("--beta-sq must be positive")
         return float(np.sqrt(args.beta_sq))

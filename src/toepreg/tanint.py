@@ -22,25 +22,39 @@ basis reduced throughout.
 
 The serial sweep keeps the working basis in a column-major store: one
 Fortran-ordered array whose column k lists entry (i, k)'s z^l coefficient
-at row l*p + i, so a basis column is one contiguous vector.  The store
-tracks each column's coefficient length; its ``length`` is the largest of
-them.  An absorbed condition lengthens its pivot column by one and no
-column past that, so a leaf of K conditions over p columns returns a basis
-about K/(p-1) + 1 coefficients long, not K + 1, and every evaluation,
-self-check and combine product downstream works on that true length.
+at row l*p + i of its coefficient block, so a basis column is one
+contiguous vector.  The store tracks each column's coefficient length; its
+``length`` is the largest of them.  An absorbed condition lengthens its
+pivot column by one and no column past that, so a leaf of K conditions
+over p columns returns a basis about K/(p-1) + 1 coefficients long, not
+K + 1, and every evaluation, self-check and combine product downstream
+works on that true length.
 
 The leaf sweeps of a solve take thousands of trips over p-entry vectors,
-where a NumPy call costs more than its arithmetic.  So each trip makes few
-native calls: the condition value (the node's powers and two small
-products), the pivot ratios, and one BLAS rank-one update (``zgeru``,
-Dongarra et al., ACM TOMS 1988) that mixes the pivot column into every
-other column of the store at once, followed by the pivot column's shift
-on contiguous slices.  The bookkeeping (pivot choice, degree ledger,
-column lengths, deferral) runs on Python scalars.  The sweep takes the
-decisions of a plain NumPy loop over a (p, p, length) coefficient cube,
-and its coefficients agree with that loop's to rounding, not bit for bit:
-the BLAS kernel may fuse its multiply-adds, and the evaluation sums in
-another order.
+where a NumPy call costs more than its arithmetic.  So a sweep carries
+every one of its conditions as a residual row on top of the store: row t
+holds the condition's value ``weights[t] . B(nodes[t])`` against every
+column of the current basis B.  The rows start as the weights against the
+identity, and each trip updates them with the basis instead of evaluating
+the basis at the condition's node: one BLAS rank-one update (``zgeru``,
+Dongarra et al., ACM TOMS 1988) mixes the pivot column into every other
+column, coefficient and residual rows alike, then the pivot column's
+coefficients shift by (z - node) and its residual entries are multiplied
+by (nodes - node).  This is how order-basis interpolation runs
+(Beckermann and Labahn, SIMAX 1994; Van Barel, Heinig and Kravanja, SIMAX
+2001).  The bookkeeping (pivot choice, degree ledger, column lengths,
+deferral) runs on Python scalars.
+
+An updated row carries the rounding of every update since its start, and
+its drift is not corrected within the sweep; the leaf self-check, which
+evaluates the finished basis afresh, is the guard against it.  The sweep
+takes the decisions of a plain NumPy loop that re-evaluates a (p, p,
+length) coefficient cube at each node, and its coefficients agree with
+that loop's to rounding, not bit for bit.  For the same reason a condition
+counts as annihilated, with no pivot, when its row has fallen to
+``_ROW_FLOOR`` of its starting magnitude, not when it is exactly zero: a
+repeated condition, updated by a kernel that fuses its multiply-adds, is
+left as rounding noise.
 
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
@@ -91,6 +105,10 @@ _PIVOT_THRESHOLD = 1e-8
 # Smallest leaf store, in rows; a power of two (see ``_Workspace``).
 _STORE_MIN_ROWS = 64
 
+# A residual row that falls to this fraction of its starting magnitude is
+# annihilated: rounding noise, not a condition value (see ``_serial_core``).
+_ROW_FLOOR = 1e-14
+
 
 class SingularSystemError(RuntimeError):
     """The interpolation data does not determine a unique solution."""
@@ -119,48 +137,94 @@ class _Workspace:
     """Column-major coefficient store for the working basis.
 
     ``store`` is a Fortran-ordered (rows, p) array: column k holds the z^l
-    coefficient of entry (i, k) at row ``l * p + i``, so one basis column
-    is one contiguous vector and absorbing a condition is one BLAS rank-one
-    update over the store.  Rows past the basis length are exactly zero.
+    coefficient of entry (i, k) at row ``res + l * p + i``, so one basis
+    column is one contiguous vector and absorbing a condition is one BLAS
+    rank-one update over the store.  Coefficient rows past the basis length
+    are exactly zero.
 
-    ``lens[j]`` is the coefficient length of column j: every row of that
-    column at or past ``lens[j] * p`` is exactly zero.  ``length`` is the
-    largest of them, the true length of the basis, and every read stays
-    inside it.  Absorbing a condition lengthens the pivot column by one and
-    brings the columns mixed with it up to the pivot's old length, so the
-    basis grows with its degree, not with the number of conditions.
+    During a sweep the store's top ``res`` rows are residual rows, one per
+    condition of the sweep: row t holds ``weights[t] . B(nodes[t])`` for
+    the current basis B, so the update that mixes the basis columns mixes
+    every condition's value with them.  ``attach`` puts them on and
+    ``detach`` takes them off again; outside a sweep ``res`` is 0.
 
-    The store holds a power-of-two number of rows, at least
+    ``lens[j]`` is the coefficient length of column j: every coefficient
+    row of that column at or past ``lens[j] * p`` is exactly zero.
+    ``length`` is the largest of them, the true length of the basis, and
+    every read stays inside it.  Absorbing a condition lengthens the pivot
+    column by one and brings the columns mixed with it up to the pivot's
+    old length, so the basis grows with its degree, not with the number of
+    conditions.
+
+    The coefficient block holds a power-of-two number of rows, at least
     ``_STORE_MIN_ROWS``, and doubles as the basis grows, copying its rows
     exactly, so the update's work tracks the basis length and a leaf's
-    store stays below OpenBLAS's threading size.  A power of two keeps the
-    BLAS kernel's blocked and tail loops on the same rows whatever the
-    store size, so a sweep's bits do not depend on when the store grew.
+    store stays below OpenBLAS's threading size.  The residual block is
+    padded to a multiple of ``_STORE_MIN_ROWS``.  Both keep the BLAS
+    kernel's blocked and tail loops on the same rows whatever the store
+    size, so a sweep's bits do not depend on when the store grew.
     ``capacity`` bounds the coefficient length a column may reach.
     """
 
-    __slots__ = ("store", "capacity", "lens", "length")
+    __slots__ = ("store", "capacity", "lens", "length", "res", "res_nodes")
 
     def __init__(self, p, capacity):
         self.store = np.zeros((_STORE_MIN_ROWS, p), dtype=np.complex128,
                               order="F")
         self.capacity = capacity
+        self.res = 0
+        self.res_nodes = None
         self._fit(1)
         self.store[:p, :] = np.eye(p)
         self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
 
     def _fit(self, length: int):
-        """Grow the store, copying its rows exactly, until it holds
-        ``length`` coefficients."""
+        """Grow the coefficient block, copying the store's rows exactly,
+        until it holds ``length`` coefficients."""
         rows, p = self.store.shape
-        if rows >= length * p:
+        have = rows - self.res
+        if have >= length * p:
             return
-        while rows < length * p:
-            rows *= 2
-        grown = np.zeros((rows, p), dtype=np.complex128, order="F")
-        grown[:self.store.shape[0]] = self.store
+        while have < length * p:
+            have *= 2
+        grown = np.zeros((self.res + have, p), dtype=np.complex128, order="F")
+        grown[:rows] = self.store
         self.store = grown
+
+    def attach(self, nodes, weights) -> list:
+        """Put the residual rows of the conditions ``(nodes, weights)`` on
+        top of the store and return each row's annihilation floor,
+        ``_ROW_FLOOR`` times its starting magnitude."""
+        count, p = weights.shape
+        res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+        rows = self._values(nodes, weights)
+        store = np.zeros((res + self.store.shape[0], p), dtype=np.complex128,
+                         order="F")
+        store[:count] = rows
+        store[res:] = self.store
+        self.store = store
+        self.res = res
+        self.res_nodes = np.zeros(res, dtype=np.complex128)
+        self.res_nodes[:count] = nodes
+        return (_ROW_FLOOR * np.abs(rows).max(axis=1)).tolist()
+
+    def detach(self):
+        """Drop the residual rows, keeping the coefficients' bits."""
+        if self.res:
+            self.store = self.store[self.res:].copy(order="F")
+            self.res = 0
+            self.res_nodes = None
+
+    def _values(self, nodes, weights) -> np.ndarray:
+        """``weights[t] . B(nodes[t])`` for every t, in one batched
+        evaluation; the identity basis gives the weights themselves."""
+        p = len(self.lens)
+        if self.length == 1 and np.array_equal(self._rows(), np.eye(p)):
+            return weights
+        powers = np.asarray(nodes)[:, None] ** np.arange(self.length)
+        vals = np.tensordot(powers, self._rows().reshape(self.length, p, p), 1)
+        return np.einsum("ti,tik->tk", weights, vals)
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
@@ -168,10 +232,11 @@ class _Workspace:
         The mix is one ``zgeru`` over the whole store with alpha = 1, which
         must update the store in place.  With alpha = 1 every product is
         mu_i * head_l, so OpenBLAS's threaded path for large stores gives
-        the same bits as its serial one.  Column lengths are raised on
-        Python scalars: each column mixed with the pivot (mu_i != 0)
-        reaches the pivot's old length, the pivot one more, and ``length``
-        follows the pivot."""
+        the same bits as its serial one.  The pivot column's coefficients
+        shift by (z - node), and its residual entries are multiplied by
+        (nodes - node).  Column lengths are raised on Python scalars: each
+        column mixed with the pivot (mu_i != 0) reaches the pivot's old
+        length, the pivot one more, and ``length`` follows the pivot."""
         lens = self.lens
         lj = int(lens[j])
         if lj >= self.capacity:
@@ -182,10 +247,13 @@ class _Workspace:
         head = store[:, j].copy()
         if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
             raise RuntimeError("rank-one update did not write the store in place")
-        lp = lj * p
+        res = self.res
+        end = res + lj * p
         col = store[:, j]
-        col[:lp] = -node * head[:lp]
-        col[p:lp + p] += head[:lp]
+        col[res:end] = -node * head[res:end]
+        col[res + p:end + p] += head[res:end]
+        if res:
+            np.multiply(head[:res], self.res_nodes - node, out=col[:res])
         for i, m in enumerate(mu.tolist()):
             if m and lens[i] < lj:
                 lens[i] = lj
@@ -194,15 +262,17 @@ class _Workspace:
             self.length = lj + 1
 
     def _rows(self) -> np.ndarray:
-        return self.store[:self.length * len(self.lens)]
+        return self.store[self.res:self.res + self.length * len(self.lens)]
 
     def rescale(self, trigger: float = _RESCALE_TRIGGER):
-        rows = self._rows()
-        colmax = np.abs(rows).max(axis=0)
+        """Divide the columns past ``trigger`` by their largest coefficient,
+        residual rows included."""
+        colmax = np.abs(self._rows()).max(axis=0)
         big = colmax > trigger
         if not big.any():
             return None
-        rows[:, big] /= colmax[big]
+        end = self.res + self.length * len(self.lens)
+        self.store[:end, big] /= colmax[big]
         return float(colmax[big].max())
 
     def normalize(self) -> float:
@@ -256,24 +326,23 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
     NumPy's vectorized complex abs and the scalar one can round apart in
     the last bit, so neither stands in for the other.
 
-    The condition value ``phi`` evaluates the basis at the node through
-    the (p, length, p) view of the store's transpose, then applies the
-    weight row.  The degree ledger is a list of ints, written back into
-    ``col_degrees`` in place when the sweep ends or raises.
+    The condition value ``phi`` is the condition's residual row in the
+    store, which every absorbed condition has updated along with the
+    basis; nothing is evaluated per condition.  A row that has fallen to
+    ``_ROW_FLOOR`` of its starting magnitude is annihilated: its condition
+    already holds to rounding, and has no pivot.  The degree ledger is a
+    list of ints, written back into ``col_degrees`` in place when the
+    sweep ends or raises, and the residual rows are dropped then too.
     """
     cd = col_degrees.tolist()
     cols = range(len(cd))
-    p = len(cd)
-    powers = np.arange(ws.capacity)
+    floors = ws.attach(nodes, weights)
     try:
         for t in range(len(nodes)):
-            node = nodes[t]
-            length = ws.length
-            cube = ws.store.T[:, :length * p].reshape(p, length, p)
-            phi = (node ** powers[:length] @ cube) @ weights[t]
+            phi = ws.store[t]
             mags = np.abs(phi).tolist()
             amax = max(mags)
-            small = amax == 0.0
+            small = amax <= floors[t]
             if not small:
                 low = min(cd)
                 j = max((i for i in cols if cd[i] == low), key=mags.__getitem__)
@@ -287,7 +356,7 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                 continue
             mu = -phi / phi[j]
             mu[j] = 0.0
-            ws.step(j, node, mu)
+            ws.step(j, nodes[t], mu)
             cd[j] += 1
             if (t + 1) % _RESCALE_PERIOD == 0:
                 factor = ws.rescale()
@@ -295,6 +364,7 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
                     diag.max_column_scale = max(diag.max_column_scale, factor)
     finally:
         col_degrees[:] = cd
+        ws.detach()
 
 
 def _stride_order(count: int, bump: int = 0) -> np.ndarray:

@@ -215,6 +215,8 @@ def test_random_instance_without_unknowns_exits_two(variant, capsys):
     ("general", "--beta-sq", "2"),
     ("gramian", "--beta", "2"),
     ("gramian", "--beta-sq", "2"),
+    ("general", "--beta-sq", "auto"),
+    ("gramian", "--beta-sq", "auto"),
 ])
 def test_flag_unused_by_variant_exits_two(capsys, variant, flag, value):
     assert main(["solve", "--variant", variant, "--n", "8", flag, value]) == 2

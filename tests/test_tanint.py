@@ -212,26 +212,30 @@ def test_store_size_leaves_the_sweep_bits_alone():
     # A store pre-sized to the capacity and one doubling from the minimum
     # give the BLAS update power-of-two row counts, so every basis row
     # takes the same kernel path and the sweeps leave equal bits; the
-    # natural order also takes the rescale path.
+    # natural order also takes the rescale path.  Sweeps of 61, 97 and 130
+    # conditions, counts that are not a multiple of the store's rows (as
+    # cleanup batches have), pad the residual rows that share the update,
+    # and leave equal bits too.
     system = assemble(random_problem("general", 64, np.random.default_rng(74)))
     for order in (tanint._stride_order(system.order), np.arange(system.order)):
-        nodes, weights, refs = tanint._flatten(system.weights, system.nodes,
-                                               order)
-        found = []
-        for presize in (False, True):
-            ws = tanint._Workspace(system.p, len(nodes) + 1)
-            if presize:
-                ws._fit(ws.capacity)
-            cd = -system.tau
-            tanint._serial_core(ws, nodes, weights, refs, cd, 1e-8, True, [],
-                                None)
-            rows = ws.store.shape[0]
-            assert rows & (rows - 1) == 0 and ws.store.flags.f_contiguous
-            found.append((rows, ws.view(), ws.lens, cd))
-        (rows, coeffs, lens, cd), (full_rows, *presized) = found
-        assert rows < 2 * ws.length * system.p < full_rows
-        for a, b in zip((coeffs, lens, cd), presized):
-            assert _same_bits(a, b)
+        conditions = tanint._flatten(system.weights, system.nodes, order)
+        for count in (61, 97, 130, len(conditions[0])):
+            nodes, weights, refs = (part[:count] for part in conditions)
+            found = []
+            for presize in (False, True):
+                ws = tanint._Workspace(system.p, len(nodes) + 1)
+                if presize:
+                    ws._fit(ws.capacity)
+                cd = -system.tau
+                tanint._serial_core(ws, nodes, weights, refs, cd, 1e-8, True,
+                                    [], None)
+                rows = ws.store.shape[0]
+                assert rows & (rows - 1) == 0 and ws.store.flags.f_contiguous
+                found.append((rows, ws.view(), ws.lens, cd))
+            (rows, coeffs, lens, cd), (full_rows, *presized) = found
+            assert rows < 2 * ws.length * system.p < full_rows
+            for a, b in zip((coeffs, lens, cd), presized):
+                assert _same_bits(a, b)
 
 
 def test_step_raises_on_a_store_it_cannot_update_in_place():
@@ -327,6 +331,14 @@ def test_serial_defer_flag_controls_failure_mode():
     assert deferred == [(1, 0)]
     with pytest.raises(SingularSystemError):
         serial_tan_int(*twice, [0, 0, 0], defer=False)
+    # so it is at every 64th root of unity, where the rank-one update
+    # leaves it as rounding noise rather than an exact zero
+    for node in np.exp(2j * np.pi * np.arange(64) / 64):
+        twice = (np.array([node, node]), np.array([w, w]), [(0, 0), (1, 0)])
+        _, _, deferred = serial_tan_int(*twice, [0, 0, 0])
+        assert deferred == [(1, 0)]
+        with pytest.raises(SingularSystemError):
+            serial_tan_int(*twice, [0, 0, 0], defer=False)
 
 
 def test_composed_halves_interpolate_everything():
