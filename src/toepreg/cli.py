@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--b", help="JSON file with the data-side right-hand side")
     solve.add_argument("--rhs", help="JSON file with the normal-equation "
                                      "right-hand side (gramian variant)")
-    solve.add_argument("--beta", type=float, help="ridge weight")
-    solve.add_argument("--beta-sq", type=_parse_beta_sq, dest="beta_sq",
+    ridge = solve.add_mutually_exclusive_group()
+    ridge.add_argument("--beta", type=float, help="ridge weight")
+    ridge.add_argument("--beta-sq", type=_parse_beta_sq, dest="beta_sq",
                        help="squared ridge weight, or auto for sqrt(n)")
     solve.add_argument("--n", type=int, help="size for a random instance")
     solve.add_argument("--m", type=int, help="data rows (default n)")

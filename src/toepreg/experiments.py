@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,23 +134,26 @@ def run_complexity(config: ExperimentConfig):
     rows = []
     fits = {}
     for variant in config.variants:
-        means = []
-        for n in config.sizes:
-            times = []
-            for trial in range(config.trials):
+        # Round-robin over the sizes, so a slow spell of the host spreads
+        # over all of them instead of landing on one.
+        times = [[] for _ in config.sizes]
+        for trial in range(config.trials):
+            for n, size_times in zip(config.sizes, times):
                 rng = _trial_rng(config.seed, "complexity", variant, n, trial)
                 problem = random_problem(variant, n, rng)
                 if trial == 0:
                     solve_tikhonov(problem)  # warm caches
-                times.append(solve_tikhonov(problem).wall_time)
-            mean = float(np.mean(times))
+                size_times.append(solve_tikhonov(problem).wall_time)
+        means = []
+        for n, size_times in zip(config.sizes, times):
+            mean = float(np.mean(size_times))
             means.append(mean)
             rows.append({
                 "variant": variant,
                 "n": n,
                 "params": free_parameters(variant, n),
                 "mean_s": mean,
-                "median_s": float(np.median(times)),
+                "median_s": float(np.median(size_times)),
             })
         fits[variant] = fit_complexity(config.sizes, means)
     return rows, fits
@@ -168,9 +171,7 @@ def run_accuracy(config: ExperimentConfig):
                 problem = random_problem(variant, n, rng)
                 x_true = complex_normal(rng, n)
                 y = apply_normal_operator(problem, x_true)
-                planted = ProblemSpec(variant=variant, T=problem.T, L=problem.L,
-                                      G=problem.G, beta=problem.beta, b=None,
-                                      normal_rhs=y)
+                planted = replace(problem, b=None, normal_rhs=y)
                 report = solve_tikhonov(planted)
                 worst = max(worst, float(np.abs(report.x_hat - x_true).max()))
             rows.append({"variant": variant, "n": n, "max_err": worst})

@@ -31,19 +31,20 @@ K + 1, and every evaluation, self-check and combine product downstream
 works on that true length.
 
 The leaf sweeps of a solve take thousands of trips over p-entry vectors,
-where a NumPy call costs more than its arithmetic.  So a sweep carries
-every one of its conditions as a residual row on top of the store: row t
-holds the condition's value ``weights[t] . B(nodes[t])`` against every
-column of the current basis B.  The rows start as the weights against the
-identity, and each trip updates them with the basis instead of evaluating
-the basis at the condition's node: one BLAS rank-one update (``zgeru``,
-Dongarra et al., ACM TOMS 1988) mixes the pivot column into every other
-column, coefficient and residual rows alike, then the pivot column's
-coefficients shift by (z - node) and its residual entries are multiplied
-by (nodes - node).  This is how order-basis interpolation runs
-(Beckermann and Labahn, SIMAX 1994; Van Barel, Heinig and Kravanja, SIMAX
-2001).  The bookkeeping (pivot choice, degree ledger, column lengths,
-deferral) runs on Python scalars.
+where a NumPy call costs more than its arithmetic.  So each sweep builds a
+store of its own, holding the identity, with every one of its conditions as
+a residual row on top: row t holds the condition's value
+``weights[t] . B(nodes[t])`` against every column of the current basis B.
+The rows start as the weights, and each trip updates them with the basis
+instead of evaluating the basis at the condition's node: one BLAS rank-one
+update (``zgeru``, Dongarra et al., ACM TOMS 1988) mixes the pivot column
+into every other column, coefficient and residual rows alike, then the
+pivot column's coefficients shift by (z - node) and its residual entries
+are multiplied by (nodes - node).  This is how order-basis interpolation
+runs (Beckermann and Labahn, SIMAX 1994; Van Barel, Heinig and Kravanja,
+SIMAX 2001).  The bookkeeping (pivot choice, degree ledger, column lengths,
+deferral) runs on Python scalars.  The sweep returns its basis
+column-normalized, and the store does not outlive it.
 
 An updated row carries the rounding of every update since its start, and
 its drift is not corrected within the sweep; the leaf self-check, which
@@ -134,7 +135,8 @@ class TanIntDiagnostics:
 
 
 class _Workspace:
-    """Column-major coefficient store for the working basis.
+    """Column-major store of one sweep's working basis, built from the
+    sweep's conditions ``(nodes, weights)`` with the identity as its basis.
 
     ``store`` is a Fortran-ordered (rows, p) array: column k holds the z^l
     coefficient of entry (i, k) at row ``res + l * p + i``, so one basis
@@ -142,11 +144,10 @@ class _Workspace:
     rank-one update over the store.  Coefficient rows past the basis length
     are exactly zero.
 
-    During a sweep the store's top ``res`` rows are residual rows, one per
-    condition of the sweep: row t holds ``weights[t] . B(nodes[t])`` for
-    the current basis B, so the update that mixes the basis columns mixes
-    every condition's value with them.  ``attach`` puts them on and
-    ``detach`` takes them off again; outside a sweep ``res`` is 0.
+    The store's top ``res`` rows are residual rows, one per condition of
+    the sweep: row t holds ``weights[t] . B(nodes[t])`` for the current
+    basis B, so the update that mixes the basis columns mixes every
+    condition's value with them.  They start as the weights themselves.
 
     ``lens[j]`` is the coefficient length of column j: every coefficient
     row of that column at or past ``lens[j] * p`` is exactly zero.
@@ -163,19 +164,21 @@ class _Workspace:
     padded to a multiple of ``_STORE_MIN_ROWS``.  Both keep the BLAS
     kernel's blocked and tail loops on the same rows whatever the store
     size, so a sweep's bits do not depend on when the store grew.
-    ``capacity`` bounds the coefficient length a column may reach.
     """
 
-    __slots__ = ("store", "capacity", "lens", "length", "res", "res_nodes")
+    __slots__ = ("store", "lens", "length", "res", "res_nodes")
 
-    def __init__(self, p, capacity):
-        self.store = np.zeros((_STORE_MIN_ROWS, p), dtype=np.complex128,
+    def __init__(self, nodes, weights):
+        count, p = weights.shape
+        res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+        self.store = np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
                               order="F")
-        self.capacity = capacity
-        self.res = 0
-        self.res_nodes = None
+        self.res = res
         self._fit(1)
-        self.store[:p, :] = np.eye(p)
+        self.store[:count] = weights
+        self.store[res:res + p] = np.eye(p)
+        self.res_nodes = np.zeros(res, dtype=np.complex128)
+        self.res_nodes[:count] = nodes
         self.lens = np.ones(p, dtype=np.int64)
         self.length = 1
 
@@ -192,40 +195,6 @@ class _Workspace:
         grown[:rows] = self.store
         self.store = grown
 
-    def attach(self, nodes, weights) -> list:
-        """Put the residual rows of the conditions ``(nodes, weights)`` on
-        top of the store and return each row's annihilation floor,
-        ``_ROW_FLOOR`` times its starting magnitude."""
-        count, p = weights.shape
-        res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
-        rows = self._values(nodes, weights)
-        store = np.zeros((res + self.store.shape[0], p), dtype=np.complex128,
-                         order="F")
-        store[:count] = rows
-        store[res:] = self.store
-        self.store = store
-        self.res = res
-        self.res_nodes = np.zeros(res, dtype=np.complex128)
-        self.res_nodes[:count] = nodes
-        return (_ROW_FLOOR * np.abs(rows).max(axis=1)).tolist()
-
-    def detach(self):
-        """Drop the residual rows, keeping the coefficients' bits."""
-        if self.res:
-            self.store = self.store[self.res:].copy(order="F")
-            self.res = 0
-            self.res_nodes = None
-
-    def _values(self, nodes, weights) -> np.ndarray:
-        """``weights[t] . B(nodes[t])`` for every t, in one batched
-        evaluation; the identity basis gives the weights themselves."""
-        p = len(self.lens)
-        if self.length == 1 and np.array_equal(self._rows(), np.eye(p)):
-            return weights
-        powers = np.asarray(nodes)[:, None] ** np.arange(self.length)
-        vals = np.tensordot(powers, self._rows().reshape(self.length, p, p), 1)
-        return np.einsum("ti,tik->tk", weights, vals)
-
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
 
@@ -239,8 +208,6 @@ class _Workspace:
         length, the pivot one more, and ``length`` follows the pivot."""
         lens = self.lens
         lj = int(lens[j])
-        if lj >= self.capacity:
-            raise RuntimeError("workspace capacity exceeded")
         p = len(lens)
         self._fit(lj + 1)
         store = self.store
@@ -252,8 +219,7 @@ class _Workspace:
         col = store[:, j]
         col[res:end] = -node * head[res:end]
         col[res + p:end + p] += head[res:end]
-        if res:
-            np.multiply(head[:res], self.res_nodes - node, out=col[:res])
+        np.multiply(head[:res], self.res_nodes - node, out=col[:res])
         for i, m in enumerate(mu.tolist()):
             if m and lens[i] < lj:
                 lens[i] = lj
@@ -315,16 +281,22 @@ def _column_peaks(left_hat, coeffs) -> np.ndarray:
     return np.where(peaks > 0.0, peaks, 1.0)
 
 
-def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
-                 defer, deferred, diag):
-    """Absorb the given conditions in order into the workspace.
+def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
+    """One sweep: absorb the given conditions in order into a fresh
+    workspace that starts from the identity.
 
-    A condition without an admissible pivot raises, or with ``defer`` has
-    its ``refs`` entry appended to ``deferred``.  The pivot is the first
-    largest of ``np.abs(phi)`` among the lowest columns, as an argmax over
-    them picks it, and the threshold test takes the pivot's scalar ``abs``.
-    NumPy's vectorized complex abs and the scalar one can round apart in
-    the last bit, so neither stands in for the other.
+    Returns (coeffs, factor, deferred): the column-normalized basis as a
+    (p, p, length) array, the sweep's largest column divisor (at least 1,
+    mid-sweep rescales included) and the refs of the deferred conditions.
+    Each absorbed condition lengthens one column by one, from 1, so the
+    basis is at most ``len(nodes) + 1`` coefficients long.
+
+    A condition without an admissible pivot raises, or with ``defer`` is
+    deferred.  The pivot is the first largest of ``np.abs(phi)`` among the
+    lowest columns, as an argmax over them picks it, and the threshold test
+    takes the pivot's scalar ``abs``.  NumPy's vectorized complex abs and
+    the scalar one can round apart in the last bit, so neither stands in
+    for the other.
 
     The condition value ``phi`` is the condition's residual row in the
     store, which every absorbed condition has updated along with the
@@ -332,11 +304,14 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
     ``_ROW_FLOOR`` of its starting magnitude is annihilated: its condition
     already holds to rounding, and has no pivot.  The degree ledger is a
     list of ints, written back into ``col_degrees`` in place when the
-    sweep ends or raises, and the residual rows are dropped then too.
+    sweep ends or raises.
     """
+    ws = _Workspace(nodes, weights)
+    floors = (_ROW_FLOOR * np.abs(weights).max(axis=1)).tolist()
     cd = col_degrees.tolist()
     cols = range(len(cd))
-    floors = ws.attach(nodes, weights)
+    factor = 1.0
+    deferred = []
     try:
         for t in range(len(nodes)):
             phi = ws.store[t]
@@ -359,12 +334,13 @@ def _serial_core(ws, nodes, weights, refs, col_degrees, pivot_threshold,
             ws.step(j, nodes[t], mu)
             cd[j] += 1
             if (t + 1) % _RESCALE_PERIOD == 0:
-                factor = ws.rescale()
-                if factor is not None and diag is not None:
-                    diag.max_column_scale = max(diag.max_column_scale, factor)
+                scale = ws.rescale()
+                if scale is not None:
+                    factor = max(factor, scale)
     finally:
         col_degrees[:] = cd
-        ws.detach()
+    factor = max(ws.normalize(), factor)
+    return ws.view(), factor, deferred
 
 
 def _stride_order(count: int, bump: int = 0) -> np.ndarray:
@@ -511,14 +487,9 @@ class _Engine:
         best = None
         for attempt, perm in enumerate(_leaf_orders(len(idx))):
             nodes, sub, refs = _flatten(self.weights, self.nodes, idx[perm])
-            ws = _Workspace(self.weights.shape[2], len(nodes) + 1)
             cd = self.col_degrees.copy()
-            deferred = []
-            scratch = TanIntDiagnostics()
-            _serial_core(ws, nodes, sub, refs, cd, _PIVOT_THRESHOLD,
-                         True, deferred, scratch)
-            factor = max(ws.normalize(), scratch.max_column_scale)
-            coeffs = ws.view()
+            coeffs, factor, deferred = _serial_core(nodes, sub, refs, cd,
+                                                    _PIVOT_THRESHOLD, True)
             res = self._leaf_residual(coeffs, cosets, w_in, deferred, scale)
             if best is None or res < best[0]:
                 best = (res, coeffs, cd, deferred, factor)
@@ -577,7 +548,6 @@ class _Engine:
         index, row = np.array(points).T
         vals = grid_eval(tree.coeffs, self.order)[:, :, index]
         premult = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
-        p = self.weights.shape[2]
         run = tree_hat = None
         for start in range(0, len(points), self.n_lim):
             batch = slice(start, start + self.n_lim)
@@ -585,11 +555,10 @@ class _Engine:
             if run is not None:
                 vals = grid_eval(run.coeffs, self.order)[:, :, index[batch]]
                 weights = np.einsum("ti,ijt->tj", weights, vals)
-            ws = _Workspace(p, len(weights) + 1)
-            _serial_core(ws, self.nodes[index[batch]], weights, points[batch],
-                         self.col_degrees, 1e-13, False, [], self.diag)
-            factor = ws.normalize()
-            step = MatrixPoly(ws.view())
+            coeffs, factor, _ = _serial_core(self.nodes[index[batch]], weights,
+                                             points[batch], self.col_degrees,
+                                             1e-13, False)
+            step = MatrixPoly(coeffs)
             run = step if run is None else matpoly_multiply(run, step, extended=True)
             if batch.stop < len(points):
                 # Scale as the per-batch product would be normalized.  One

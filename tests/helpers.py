@@ -5,10 +5,13 @@ loops.  The point is to check the fast paths against arithmetic that cannot
 share their failure modes.  The small polynomial and Toeplitz utilities
 below are used by the tests only, so they live here and not in the library.
 The one-pass serial driver is the recursive driver's reference, and the
-serial sweep at the end, on a (p, p, capacity) coefficient cube stepped by
-NumPy broadcasting with NumPy bookkeeping, is the reference semantics for
-the library's column-major store stepped by BLAS: the same decisions, and
-coefficients that agree to rounding.
+serial sweep at the end is the reference semantics for the library's: a
+(p, p, capacity) coefficient cube stepped by NumPy broadcasting, with NumPy
+bookkeeping and every condition evaluated afresh against the current basis,
+where the library builds one column-major store per sweep, stepped by BLAS,
+and carries each condition as an updated residual row.  The two take the
+same decisions, and their coefficients agree to rounding.  Only the
+reference can start from a given basis, as the full-basis cleanup does.
 """
 
 import numpy as np
@@ -206,34 +209,21 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
     return MatrixPoly(coeffs), j
 
 
-def load_store(ws, coeffs, lens=None):
-    """Load a (p, p, length) basis into a ``tanint._Workspace`` whose
-    store is still empty past its first coefficient; column lengths
-    default to the full length."""
-    p, _, length = coeffs.shape
-    ws._fit(length)
-    ws.store[:length * p] = coeffs.transpose(2, 0, 1).reshape(length * p, p)
-    ws.lens[:] = length if lens is None else lens
-    ws.length = int(ws.lens.max())
-    return ws
-
-
 def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
     """Reference for ``_Engine._cleanup``: every deferred condition, in the
     same stride order, is stepped one at a time into the full-length final
-    basis.  Costs O(deferred x basis length); patch it over the engine's
-    method to compare the batched pass against it."""
+    basis by the cube reference.  Costs O(deferred x basis length); patch it
+    over the engine's method to compare the batched pass against it."""
     if not engine.deferred:
         return basis
     refs = sorted(engine.deferred)
     refs = [refs[i] for i in tanint._stride_order(len(refs))]
-    p, _, length = basis.coeffs.shape
-    ws = load_store(tanint._Workspace(p, length + len(refs) + 1), basis.coeffs)
     index, row = np.array(refs).T
-    tanint._serial_core(ws, engine.nodes[index], engine.pristine[row, index],
-                        refs, engine.col_degrees, 1e-13, False, [], engine.diag)
-    ws.normalize()
-    return MatrixPoly(ws.view())
+    coeffs, factor, _ = reference_serial_core(
+        engine.nodes[index], engine.pristine[row, index], refs,
+        engine.col_degrees, 1e-13, False, basis=basis.coeffs)
+    engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
+    return MatrixPoly(coeffs)
 
 
 def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
@@ -248,18 +238,14 @@ def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
         return basis
     points = sorted(engine.deferred)
     points = [points[i] for i in tanint._stride_order(len(points))]
-    p = engine.weights.shape[2]
     for start in range(0, len(points), engine.n_lim):
         refs = points[start:start + engine.n_lim]
         index, row = np.array(refs).T
         vals = grid_eval(basis.coeffs, engine.order)[:, :, index]
         weights = np.einsum("ti,ijt->tj", engine.pristine[row, index], vals)
-        ws = tanint._Workspace(p, len(refs) + 1)
-        tanint._serial_core(ws, engine.nodes[index], weights, refs,
-                            engine.col_degrees, 1e-13, False, [], engine.diag)
-        factor = ws.normalize()
-        basis = matpoly_multiply(basis, MatrixPoly(ws.view()),
-                                 extended=True).trimmed()
+        coeffs, factor, _ = tanint._serial_core(
+            engine.nodes[index], weights, refs, engine.col_degrees, 1e-13, False)
+        basis = matpoly_multiply(basis, MatrixPoly(coeffs), extended=True).trimmed()
         factor = max(factor, tanint._normalize_columns(basis.coeffs))
         engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
     return basis
@@ -284,12 +270,9 @@ def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
     refs), like ``rec_tan_int``.
     """
     cd = np.array(col_degrees, dtype=np.int64)
-    ws = tanint._Workspace(cd.size, len(nodes) + 1)
-    deferred = []
-    tanint._serial_core(ws, nodes, weights, refs, cd, tanint._PIVOT_THRESHOLD,
-                        defer, deferred, None)
-    ws.normalize()
-    return MatrixPoly(ws.view()), cd, deferred
+    coeffs, _, deferred = tanint._serial_core(
+        nodes, weights, refs, cd, tanint._PIVOT_THRESHOLD, defer)
+    return MatrixPoly(coeffs), cd, deferred
 
 
 # -- the serial sweep on a NumPy cube ----------------------------------------
@@ -300,26 +283,24 @@ class CubeWorkspace:
     (i, k)'s z^l coefficient sits at ``c[i, k, l]``, and a step is one
     NumPy broadcast over the cube.  It has the ``step``, ``rescale``,
     ``normalize`` and ``view`` of ``tanint._Workspace``, whose store it is
-    the reference for, and can start from a given basis."""
+    the reference for, evaluates the basis afresh with ``value``, and can
+    start from a given basis, every column at its full length."""
 
-    def __init__(self, p, capacity, coeffs=None, lens=None):
+    def __init__(self, p, capacity, coeffs=None):
         self.c = np.zeros((p, p, capacity), dtype=np.complex128)
-        self.capacity = capacity
         if coeffs is None:
             self.c[:, :, 0] = np.eye(p)
-            self.lens = np.ones(p, dtype=np.int64)
+            self.length = 1
         else:
-            self.c[:, :, :coeffs.shape[2]] = coeffs
-            self.lens = np.array(lens, dtype=np.int64)
-        self.length = int(self.lens.max())
+            self.length = coeffs.shape[2]
+            self.c[:, :, :self.length] = coeffs
+        self.lens = np.full(p, self.length, dtype=np.int64)
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node),
         with the column lengths kept by NumPy calls."""
         lens = self.lens
         lj = int(lens[j])
-        if lj >= self.capacity:
-            raise RuntimeError("workspace capacity exceeded")
         head = self.c[:, j, :lj].copy()
         self.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
         self.c[:, j, :lj] = -node * head
@@ -342,19 +323,34 @@ class CubeWorkspace:
     def view(self) -> np.ndarray:
         return self.c[:, :, :self.length].copy()
 
+    def value(self, node: complex, w: np.ndarray) -> np.ndarray:
+        """``w . B(node)`` against every column of the current basis B."""
+        length = self.length
+        return w @ (self.c[:, :, :length] @ (node ** np.arange(length)))
 
-def reference_serial_core(ws, nodes, weights, refs, col_degrees,
-                          pivot_threshold, defer, deferred, diag):
+
+def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
+                          defer, basis=None):
     """``tanint._serial_core`` on a ``CubeWorkspace``, with the pivot choice
-    and the degree ledger on NumPy arrays.  Same signature, so it can be
-    patched over the module's sweep together with the workspace; the
-    library's sweep must take the same decisions."""
+    and the degree ledger on NumPy arrays and every condition evaluated
+    afresh.  Same call shape and returns, so it can be patched over the
+    module's sweep; the library's sweep must take the same decisions.
+
+    The sweep starts from the identity, or from the (p, p, length)
+    ``basis`` given.  A condition is annihilated when its value has fallen
+    to ``_ROW_FLOOR`` of its value against that starting basis."""
+    p = weights.shape[1]
+    ws = CubeWorkspace(p, len(nodes) + (1 if basis is None else basis.shape[2]),
+                       basis)
+    floors = [tanint._ROW_FLOOR * np.abs(ws.value(node, w)).max()
+              for node, w in zip(nodes, weights)]
+    factor = 1.0
+    deferred = []
     for t in range(len(nodes)):
         node = nodes[t]
-        length = ws.length
-        phi = weights[t] @ (ws.c[:, :, :length] @ (node ** np.arange(length)))
+        phi = ws.value(node, weights[t])
         amax = np.abs(phi).max()
-        small = amax == 0.0
+        small = amax <= floors[t]
         if not small:
             cands = np.flatnonzero(col_degrees == col_degrees.min())
             j = int(cands[np.argmax(np.abs(phi[cands]))])
@@ -371,6 +367,8 @@ def reference_serial_core(ws, nodes, weights, refs, col_degrees,
         ws.step(j, node, mu)
         col_degrees[j] += 1
         if (t + 1) % tanint._RESCALE_PERIOD == 0:
-            factor = ws.rescale()
-            if factor is not None and diag is not None:
-                diag.max_column_scale = max(diag.max_column_scale, factor)
+            scale = ws.rescale()
+            if scale is not None:
+                factor = max(factor, scale)
+    factor = max(ws.normalize(), factor)
+    return ws.view(), factor, deferred

@@ -180,6 +180,15 @@ def test_non_finite_ridge_weight_exits_two(capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta_sq", ["9", "auto"])
+def test_beta_and_beta_sq_together_exit_two(capsys, beta_sq):
+    # Either flag sets the ridge weight; given both, neither is dropped
+    # in silence.
+    assert main(["solve", "--variant", "l2", "--n", "8", "--beta", "2",
+                 "--beta-sq", beta_sq]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_overflowing_ridge_weight_exits_two(capsys):
     assert main(["solve", "--variant", "l2", "--n", "8", "--beta", "1e200"]) == 2
     assert "beta" in capsys.readouterr().err

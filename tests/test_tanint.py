@@ -6,12 +6,10 @@ import pytest
 import toepreg.tanint as tanint
 from helpers import (
     NEG_INF,
-    CubeWorkspace,
     basis_residuals,
     dense_tikhonov,
     full_basis_cleanup,
     identity_poly,
-    load_store,
     per_batch_cleanup,
     poly_eval,
     random_spec,
@@ -48,6 +46,21 @@ def l2_problem(rng, n: int) -> ProblemSpec:
 def flatten_conditions(system):
     """All conditions in plain node-major order: (nodes, weights, refs)."""
     return tanint._flatten(system.weights, system.nodes, np.arange(system.order))
+
+
+@pytest.fixture(autouse=True)
+def _sweeps_keep_their_length_bound(monkeypatch):
+    """Every library sweep a test here runs returns a basis at most one
+    coefficient longer than its conditions: each absorbed condition
+    lengthens one column by one, from 1."""
+    core = tanint._serial_core
+
+    def bounded(nodes, *args):
+        coeffs, factor, deferred = core(nodes, *args)
+        assert coeffs.shape[2] <= len(nodes) + 1
+        return coeffs, factor, deferred
+
+    monkeypatch.setattr(tanint, "_serial_core", bounded)
 
 
 # ------------------------------------------------------------ tau degree
@@ -137,6 +150,11 @@ def test_single_point_basis_underflow():
 
 # ------------------------------------------------------------ workspace
 
+def _bare_workspace(p):
+    """A workspace over p columns holding the identity and no conditions."""
+    return tanint._Workspace(np.empty(0), np.empty((0, p)))
+
+
 def _full_cube_step(c, j, node, mu):
     """The workspace update applied to every slot of the cube."""
     head = c[:, j, :].copy()
@@ -182,7 +200,7 @@ def test_workspace_tracks_true_column_lengths():
     p = 4
     ref = np.zeros((p, p, 48), dtype=np.complex128)
     ref[:, :, 0] = np.eye(p)
-    ws = tanint._Workspace(p, 25)
+    ws = _bare_workspace(p)
 
     def steps(ws, count):
         for _ in range(count):
@@ -208,14 +226,25 @@ def test_workspace_tracks_true_column_lengths():
     _assert_true_lengths(ws, ref)
 
 
-def test_store_size_leaves_the_sweep_bits_alone():
-    # A store pre-sized to the capacity and one doubling from the minimum
-    # give the BLAS update power-of-two row counts, so every basis row
-    # takes the same kernel path and the sweeps leave equal bits; the
-    # natural order also takes the rescale path.  Sweeps of 61, 97 and 130
-    # conditions, counts that are not a multiple of the store's rows (as
-    # cleanup batches have), pad the residual rows that share the update,
-    # and leave equal bits too.
+def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
+    # A store pre-sized to the sweep's largest basis and one doubling from
+    # the minimum give the BLAS update power-of-two row counts, so every
+    # basis row takes the same kernel path and the sweeps leave equal bits;
+    # the natural order also takes the rescale path.  Sweeps of 61, 97 and
+    # 130 conditions, counts that are not a multiple of the store's rows
+    # (as cleanup batches have), pad the residual rows that share the
+    # update, and leave equal bits too.
+    built, base = [], tanint._Workspace
+
+    def workspace(presize):
+        class Store(base):
+            def __init__(self, nodes, weights):
+                super().__init__(nodes, weights)
+                if presize:
+                    self._fit(len(nodes) + 1)
+                built.append(self)
+        return Store
+
     system = assemble(random_problem("general", 64, np.random.default_rng(74)))
     for order in (tanint._stride_order(system.order), np.arange(system.order)):
         conditions = tanint._flatten(system.weights, system.nodes, order)
@@ -223,25 +252,25 @@ def test_store_size_leaves_the_sweep_bits_alone():
             nodes, weights, refs = (part[:count] for part in conditions)
             found = []
             for presize in (False, True):
-                ws = tanint._Workspace(system.p, len(nodes) + 1)
-                if presize:
-                    ws._fit(ws.capacity)
+                monkeypatch.setattr(tanint, "_Workspace", workspace(presize))
                 cd = -system.tau
-                tanint._serial_core(ws, nodes, weights, refs, cd, 1e-8, True,
-                                    [], None)
-                rows = ws.store.shape[0]
+                coeffs, factor, _ = tanint._serial_core(nodes, weights, refs,
+                                                        cd, 1e-8, True)
+                ws = built.pop()
+                assert ws.res % tanint._STORE_MIN_ROWS == 0 and ws.res >= count
+                rows = ws.store.shape[0] - ws.res
                 assert rows & (rows - 1) == 0 and ws.store.flags.f_contiguous
-                found.append((rows, ws.view(), ws.lens, cd))
-            (rows, coeffs, lens, cd), (full_rows, *presized) = found
+                found.append((rows, coeffs, factor, ws.lens, cd))
+            (rows, *grown), (full_rows, *presized) = found
             assert rows < 2 * ws.length * system.p < full_rows
-            for a, b in zip((coeffs, lens, cd), presized):
+            for a, b in zip(grown, presized):
                 assert _same_bits(a, b)
 
 
 def test_step_raises_on_a_store_it_cannot_update_in_place():
     # Handed a C-ordered array, zgeru updates a copy and returns it; the
     # step raises instead of dropping the update.
-    ws = tanint._Workspace(4, 9)
+    ws = _bare_workspace(4)
     ws.store = np.ascontiguousarray(ws.store)
     before = ws.store.copy()
     with pytest.raises(RuntimeError, match="in place"):
@@ -250,23 +279,21 @@ def test_step_raises_on_a_store_it_cannot_update_in_place():
     assert ws.lens.tolist() == [1, 1, 1, 1] and ws.length == 1
 
 
-def test_step_raises_at_the_capacity_bound():
-    ws = tanint._Workspace(2, 3)
+def test_each_step_lengthens_the_basis_by_at_most_one():
+    # The pivot column grows by one and a column mixed with it reaches its
+    # old length, so K steps leave a basis at most K + 1 long.
+    ws = _bare_workspace(2)
     mu = np.array([0.0, 1.0], dtype=complex)
-    ws.step(0, 1.0, mu)
-    ws.step(0, -1.0, mu)
-    assert ws.lens.tolist() == [3, 2] and ws.length == 3
-    with pytest.raises(RuntimeError, match="capacity"):
-        ws.step(0, 1j, mu)
-    assert ws.lens.tolist() == [3, 2]
-    # a sweep whose basis outgrows its workspace raises too: over two
-    # columns, the third condition pivots on a column of length 2
+    for node, lens in ((1.0, [2, 1]), (-1.0, [3, 2]), (1j, [4, 3])):
+        ws.step(0, node, mu)
+        assert ws.lens.tolist() == lens and ws.length == lens[0]
+    # over two columns, the third condition pivots on a column of length 2
     rng = np.random.default_rng(78)
     nodes = np.exp(2j * np.pi * rng.uniform(size=3))
-    with pytest.raises(RuntimeError, match="capacity"):
-        tanint._serial_core(tanint._Workspace(2, 2), nodes, crandn(rng, 3, 2),
-                            [(k, 0) for k in range(3)],
-                            np.zeros(2, dtype=np.int64), 1e-8, False, [], None)
+    coeffs, _, deferred = tanint._serial_core(
+        nodes, crandn(rng, 3, 2), [(k, 0) for k in range(3)],
+        np.zeros(2, dtype=np.int64), 1e-8, False)
+    assert deferred == [] and coeffs.shape == (2, 2, 3)
 
 
 # ------------------------------------------------------ serial constructor
@@ -547,10 +574,11 @@ def test_cleanup_takes_the_per_batch_pivots(monkeypatch, n, shape):
                           ("reference", per_batch_cleanup)):
         snapshots = []
 
-        def core(ws, nodes, weights, refs, col_degrees, threshold, defer, *rest):
-            serial_core(ws, nodes, weights, refs, col_degrees, threshold, defer, *rest)
+        def core(nodes, weights, refs, col_degrees, threshold, defer):
+            found = serial_core(nodes, weights, refs, col_degrees, threshold, defer)
             if not defer:
                 snapshots.append(col_degrees.tolist())
+            return found
 
         monkeypatch.setattr(tanint, "_serial_core", core)
         monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
@@ -589,9 +617,9 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
     serial_core, multiply = tanint._serial_core, tanint.matpoly_multiply
     cleanup = tanint._Engine._cleanup
 
-    def core(ws, nodes, *args):
-        sweeps.append((len(nodes), ws.capacity))
-        return serial_core(ws, nodes, *args)
+    def core(nodes, *args):
+        sweeps.append(len(nodes))
+        return serial_core(nodes, *args)
 
     def product(a, b, extended=False):
         if trees:
@@ -618,9 +646,8 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
         assert diag.leaf_retries == 0
         # every condition is swept once in its leaf, a deferred one once
         # more in a cleanup batch, and no sweep outgrows a leaf
-        assert (sum(count for count, _ in sweeps)
-                == diag.conditions_total + diag.difficult_points)
-        assert max(capacity for _, capacity in sweeps) <= n_lim + 1
+        assert sum(sweeps) == diag.conditions_total + diag.difficult_points
+        assert max(sweeps) <= n_lim
         # Whatever the batch count, the cleanup makes one extended product
         # as long as the tree basis; the batch bases meet in short ones.
         batches = -(-diag.difficult_points // n_lim)
@@ -643,28 +670,18 @@ def test_recursive_final_degree_structure():
 
 # ------------------------------------- scalar sweep against the reference
 
-def _workspace(core, p, capacity, coeffs=None, lens=None):
-    """The workspace a sweep core runs on, holding the identity or the
-    given basis: the library's store, or the reference's cube."""
-    if core is reference_serial_core:
-        return CubeWorkspace(p, capacity, coeffs, lens)
-    ws = tanint._Workspace(p, capacity)
-    return ws if coeffs is None else load_store(ws, coeffs, lens)
-
-
-def _sweep(core, start, nodes, weights, col_degrees, threshold, defer):
-    """One sweep on a fresh workspace built from ``start``; returns all it
-    leaves behind, including the message of a SingularSystemError it
-    raised."""
-    ws = _workspace(core, *start)
+def _sweep(core, nodes, weights, col_degrees, threshold, defer):
+    """One sweep; returns (coeffs, factor, deferred, col_degrees, error),
+    the first three None and ``error`` the message if the sweep raised a
+    SingularSystemError."""
     cd = np.array(col_degrees, dtype=np.int64)
     refs = [(t // 3, t % 3) for t in range(len(nodes))]
-    deferred, diag, error = [], TanIntDiagnostics(), None
+    found, error = (None, None, None), None
     try:
-        core(ws, nodes, weights, refs, cd, threshold, defer, deferred, diag)
+        found = core(nodes, weights, refs, cd, threshold, defer)
     except SingularSystemError as exc:
         error = str(exc)
-    return ws, cd, deferred, diag, error
+    return (*found, cd, error)
 
 
 def _same_bits(a, b) -> bool:
@@ -672,32 +689,46 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_sweeps_match(start, nodes, weights, col_degrees,
-                         threshold=1e-8, defer=True, exact=False):
+def _column_lengths(coeffs) -> np.ndarray:
+    """One past the last nonzero coefficient of each column, 0 for none."""
+    nonzero = coeffs.any(axis=0)
+    last = coeffs.shape[2] - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, 0)
+
+
+def _assert_sweeps_match(nodes, weights, col_degrees, threshold=1e-8,
+                         defer=True, exact=False):
     """The library's sweep and the cube reference take the same decisions
-    and leave the same coefficients and rescale factors: bit for bit with
-    ``exact``, else to rounding (see ``_assert_close_by_column``), against
-    a second reference sweep on one-ulp perturbed weights."""
-    ws, cd, deferred, diag, error = _sweep(
-        tanint._serial_core, start, nodes, weights, col_degrees, threshold, defer)
-    ref_ws, ref_cd, ref_deferred, ref_diag, ref_error = _sweep(
-        reference_serial_core, start, nodes, weights, col_degrees, threshold, defer)
-    assert _same_bits(ws.lens, ref_ws.lens) and ws.length == ref_ws.length
+    and return the same normalized coefficients and largest column divisor:
+    bit for bit with ``exact``, else to rounding (see
+    ``_assert_close_by_column``), against a second reference sweep on
+    one-ulp perturbed weights.  Returns the
+    library's (coeffs, factor, deferred, col_degrees, error)."""
+    found = _sweep(tanint._serial_core, nodes, weights, col_degrees,
+                   threshold, defer)
+    coeffs, factor, deferred, cd, error = found
+    ref_coeffs, ref_factor, ref_deferred, ref_cd, ref_error = _sweep(
+        reference_serial_core, nodes, weights, col_degrees, threshold, defer)
     assert _same_bits(cd, ref_cd)
     assert deferred == ref_deferred
     assert error == ref_error
+    if error is not None:
+        return found
+    assert _same_bits(_column_lengths(coeffs), _column_lengths(ref_coeffs))
     if exact:
-        assert _same_bits(ws.view(), ref_ws.view())
-        assert _same_bits(diag.max_column_scale, ref_diag.max_column_scale)
-        return ws, cd, deferred, diag, error
-    pert_ws, _, _, pert_diag, _ = _sweep(
-        reference_serial_core, start, nodes, _ulp_perturbed(weights),
-        col_degrees, threshold, defer)
-    _assert_close_by_column(ws.view(), ref_ws.view(), pert_ws.view())
-    scale, ref_scale = diag.max_column_scale, ref_diag.max_column_scale
-    assert abs(scale - ref_scale) <= max(
-        1e-12 * ref_scale, 10.0 * abs(pert_diag.max_column_scale - ref_scale))
-    return ws, cd, deferred, diag, error
+        assert _same_bits(coeffs, ref_coeffs)
+        assert _same_bits(factor, ref_factor)
+        return found
+    pert_coeffs, pert_factor, *_ = _sweep(
+        reference_serial_core, nodes, _ulp_perturbed(weights), col_degrees,
+        threshold, defer)
+    _assert_close_by_column(coeffs, ref_coeffs, pert_coeffs)
+    # The divisor is the scale its column was normalized by, so it is held
+    # to the relative precision of the normalized coefficients too.
+    moved = max(abs(pert_factor - ref_factor),
+                ref_factor * np.abs(pert_coeffs - ref_coeffs).max())
+    assert abs(factor - ref_factor) <= max(1e-12 * ref_factor, 10.0 * moved)
+    return found
 
 
 def _sweep_inputs(system, order):
@@ -711,24 +742,21 @@ def test_scalar_sweep_matches_reference_with_rescaling(variant):
     # trigger; the stride order the drivers use never reaches it here.
     system = assemble(random_problem(variant, 64, np.random.default_rng(74)))
     nodes, weights, col_degrees = _sweep_inputs(system, np.arange(system.order))
-    start = (system.p, len(nodes) + 1)
-    _, _, _, diag, _ = _assert_sweeps_match(start, nodes, weights, col_degrees)
-    assert diag.max_column_scale > 1e8
+    _, factor, *_ = _assert_sweeps_match(nodes, weights, col_degrees)
+    assert factor > 1e8
 
 
 def test_scalar_sweep_matches_reference_on_deferring_and_raising_sweeps():
     system = assemble(_rect_problem(128, "m=n/4"))
     nodes, weights, col_degrees = _sweep_inputs(
         system, tanint._stride_order(system.order))
-    start = (system.p, len(nodes) + 1)
-    _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
-                                                col_degrees)
+    _, _, deferred, _, _ = _assert_sweeps_match(nodes, weights, col_degrees)
     assert len(deferred) > 0.1 * len(nodes)
     # Past the first deferral, so the raising sweep absorbs some first.
     k, row = deferred[0]
     first = k * 3 + row + 1
-    _, cd, _, _, error = _assert_sweeps_match(
-        start, nodes[first:], weights[first:], col_degrees, defer=False)
+    *_, cd, error = _assert_sweeps_match(
+        nodes[first:], weights[first:], col_degrees, defer=False)
     assert error is not None and not np.array_equal(cd, col_degrees)
 
 
@@ -743,18 +771,27 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
     weights[2] = 0.0
     weights[13] = 0.0
     nodes = np.exp(2j * np.pi * rng.uniform(size=24))
-    start = (4, 25)
-    _, _, deferred, _, _ = _assert_sweeps_match(start, nodes, weights,
-                                                [0, 0, 2, 2])
+    _, _, deferred, _, _ = _assert_sweeps_match(nodes, weights, [0, 0, 2, 2])
     assert [k * 3 + row for k, row in deferred][:4] == [0, 1, 2, 13]
-    # Raising at the first condition leaves the identity untouched.
-    _, cd, _, _, error = _assert_sweeps_match(start, nodes, weights,
-                                              [0, 0, 2, 2], defer=False,
-                                              exact=True)
+    # Raising at the first condition leaves the ledger untouched.
+    *_, cd, error = _assert_sweeps_match(nodes, weights, [0, 0, 2, 2],
+                                         defer=False)
     assert error is not None and cd.tolist() == [0, 0, 2, 2]
-    _, cd, _, _, error = _assert_sweeps_match(start, nodes[3:], weights[3:],
-                                              [0, 0, 2, 2], defer=False)
+    *_, cd, error = _assert_sweeps_match(nodes[3:], weights[3:], [0, 0, 2, 2],
+                                         defer=False)
     assert error is not None and cd.sum() == 4 + 10
+    # A condition repeated at a root of unity is left as rounding noise, not
+    # as zero, by the library's fused update of its residual row and by the
+    # reference's fresh evaluation alike: both call it annihilated against
+    # the floor of its starting value.
+    for seed in range(8):
+        w = crandn(np.random.default_rng(seed), 3)
+        for node in np.exp(2j * np.pi * np.arange(8) / 8):
+            twice = (np.array([node, node]), np.array([w, w]))
+            _, _, deferred, _, _ = _assert_sweeps_match(*twice, [0, 0, 0])
+            assert deferred == [(0, 1)]
+            *_, error = _assert_sweeps_match(*twice, [0, 0, 0], defer=False)
+            assert error is not None
 
 
 def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
@@ -762,18 +799,17 @@ def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
     # matches bit for bit.  Two candidates of equal magnitude: the first
     # pivots.
     rng = np.random.default_rng(77)
-    start = (4, 9)
     one = np.array([1.0j])
-    _, cd, _, _, _ = _assert_sweeps_match(
-        start, one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2], exact=True)
+    *_, cd, _ = _assert_sweeps_match(
+        one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2], exact=True)
     assert cd.tolist() == [1, 0, 2, 2]
     # Conditions blind to columns 2 and 3 give them mu = 0 at every step,
     # so they are never mixed and keep length 1.
     weights = np.zeros((8, 4), dtype=np.complex128)
     weights[:, :2] = crandn(rng, 8, 2)
     nodes = np.exp(2j * np.pi * rng.uniform(size=8))
-    ws, _, _, _, _ = _assert_sweeps_match(start, nodes, weights, [0, 0, 9, 9])
-    assert ws.lens.tolist() == [5, 5, 1, 1]
+    coeffs, *_ = _assert_sweeps_match(nodes, weights, [0, 0, 9, 9])
+    assert _column_lengths(coeffs).tolist() == [5, 5, 1, 1]
     # A pivot magnitude on the threshold's last bit, where NumPy's
     # vectorized and scalar complex abs can round apart (they do on AVX-512
     # hosts), so the deferral rests on which of the two the sweep takes.
@@ -781,24 +817,8 @@ def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
     apart = np.flatnonzero(np.abs(values) != [abs(v) for v in values])
     for v in values[apart[:4]] if apart.size else values[:1]:
         edge = max(np.abs(v[None])[0], abs(v))
-        _assert_sweeps_match(start, one, np.array([[v, 0.0, 1.0, 0.0]]),
+        _assert_sweeps_match(one, np.array([[v, 0.0, 1.0, 0.0]]),
                              [0, 0, 2, 2], threshold=edge, exact=True)
-
-
-def test_scalar_sweep_matches_reference_from_a_full_basis():
-    # The cleanup reference starts from a finished basis with every column
-    # at full length; a continued sweep starts from uneven column lengths.
-    rng = np.random.default_rng(76)
-    p, length, count = 5, 9, 40
-    start = (p, length + 2 * count + 1, crandn(rng, p, p, length), [length] * p)
-    nodes = np.exp(2j * np.pi * rng.uniform(size=count))
-    weights = crandn(rng, count, p)
-    col_degrees = [1, 0, 1, 1, 0]
-    ws, cd, _, _, error = _assert_sweeps_match(
-        start, nodes, weights, col_degrees, threshold=1e-13, defer=False)
-    assert error is None and ws.lens.min() < ws.length
-    _assert_sweeps_match((p, ws.capacity, ws.view(), ws.lens), nodes[::-1],
-                         crandn(rng, count, p), cd)
 
 
 @pytest.mark.parametrize("problem", [
@@ -813,12 +833,10 @@ def test_scalar_sweep_matches_reference_end_to_end(monkeypatch, problem):
     perturbed = AssembledSystem(system.n, system.order, system.degree_bounds,
                                 _ulp_perturbed(system.weights), system.n_lim)
     found = []
-    for core, workspace, system in (
-            (tanint._serial_core, tanint._Workspace, system),
-            (reference_serial_core, CubeWorkspace, system),
-            (reference_serial_core, CubeWorkspace, perturbed)):
+    for core, system in ((tanint._serial_core, system),
+                         (reference_serial_core, system),
+                         (reference_serial_core, perturbed)):
         monkeypatch.setattr(tanint, "_serial_core", core)
-        monkeypatch.setattr(tanint, "_Workspace", workspace)
         diag = TanIntDiagnostics()
         basis, cd, deferred = rec_tan_int(system, diagnostics=diag)
         serial, serial_cd, _ = serial_tan_int(*stride_conditions(system),
