@@ -62,9 +62,10 @@ the plain ``(index, row)`` ref naming its node and weight row.  After the
 tree, the cleanup pass absorbs the deferred conditions, in sorted ref order
 then stride order, in batches of at most the system's ``n_lim``.  Each
 batch is swept like a leaf and multiplied into a short running product of
-the batch bases; one long-double combine product then multiplies the tree
-basis by it, whatever the number of batches.  A deferred condition thus
-costs one more leaf-sized sweep, not a step over the full-length basis.
+the batch bases; one extended combine product (``fftpoly``'s error-free
+split) then multiplies the tree basis by it, whatever the number of
+batches.  A deferred condition thus costs one more leaf-sized sweep, not a
+step over the full-length basis.
 Before each batch the running product is scaled as the basis was when
 every batch had a full-length product of its own, so each batch takes the
 pivots it took then.

@@ -1,9 +1,13 @@
 """Polynomial and matrix-polynomial arithmetic over root-of-unity grids."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from helpers import column_tau_degrees, eval_grid, identity_poly, poly_eval
+from toepreg import fftpoly
 from toepreg.fftpoly import (
     MatrixPoly,
     grid_eval,
@@ -26,6 +30,35 @@ def schoolbook_matpoly(a: MatrixPoly, b: MatrixPoly) -> np.ndarray:
             for k in range(p):
                 out[i, j] += np.convolve(a.coeffs[i, k], b.coeffs[k, j])
     return out
+
+
+def exact_matpoly(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The exact product, rounded once to double.
+
+    Every double times 2**1100 is an integer, so the products are sums of
+    Python integers, and int / int rounds correctly.
+    """
+    def ints(x):
+        return np.array([int(Fraction(v) * 2**1100) for v in x.ravel()],
+                        dtype=object).reshape(x.shape)
+
+    ar, ai, br, bi = ints(ca.real), ints(ca.imag), ints(cb.real), ints(cb.imag)
+    p = ca.shape[0]
+    out = np.empty((p, p, ca.shape[2] + cb.shape[2] - 1), dtype=np.complex128)
+    for i in range(p):
+        for j in range(p):
+            re = sum(np.convolve(ar[i, k], br[k, j]) - np.convolve(ai[i, k], bi[k, j])
+                     for k in range(p))
+            im = sum(np.convolve(ar[i, k], bi[k, j]) + np.convolve(ai[i, k], br[k, j])
+                     for k in range(p))
+            out[i, j] = [complex(x / 2**2200, y / 2**2200) for x, y in zip(re, im)]
+    return out
+
+
+def within_an_ulp(out: np.ndarray, ref: np.ndarray) -> bool:
+    """Each real and imaginary part within 1 ulp plus 2**-60 of the largest."""
+    o, r = out.view(np.float64), ref.view(np.float64)
+    return bool(np.all(np.abs(o - r) <= np.spacing(np.abs(r)) + 2.0**-60 * np.abs(r).max()))
 
 
 def test_next_fast_len_values():
@@ -121,6 +154,61 @@ def test_matpoly_multiply_extended_matches_schoolbook():
     ref = schoolbook_matpoly(a, b)
     out = matpoly_multiply(a, b, extended=True)
     assert np.abs(out.coeffs - ref).max() / np.abs(ref).max() < 1e-11
+
+
+@pytest.mark.parametrize("p, la, lb, decay", [
+    (7, 17, 17, 0.0),   # random
+    (5, 33, 33, 0.3),   # geometrically decaying, as basis tails are
+    (7, 9, 25, 0.0),    # unequal lengths, as the cleanup's tree x product
+])
+def test_matpoly_multiply_extended_matches_exact_product(p, la, lb, decay):
+    rng = np.random.default_rng(34)
+    ca = crandn(rng, p, p, la) * np.exp(-decay * np.arange(la))
+    cb = crandn(rng, p, p, lb) * np.exp(-decay * np.arange(lb))
+    ref = exact_matpoly(ca, cb)
+    assert within_an_ulp(matpoly_multiply(ca, cb, extended=True), ref)
+    # The bound tells the extended product from the plain one.
+    assert not within_an_ulp(matpoly_multiply(ca, cb), ref)
+
+
+def test_matpoly_multiply_extended_length_one():
+    rng = np.random.default_rng(35)
+    ca, cb = crandn(rng, 6, 6, 1), crandn(rng, 6, 6, 1)
+    out = matpoly_multiply(ca, cb, extended=True)
+    assert out.shape == (6, 6, 1)
+    assert within_an_ulp(out, exact_matpoly(ca, cb))
+
+
+def test_matpoly_multiply_extended_zero_operands():
+    rng = np.random.default_rng(36)
+    zero, c = np.zeros((4, 4, 5), dtype=np.complex128), crandn(rng, 4, 4, 7)
+    for a, b in ((zero, c), (c, zero), (zero, zero)):
+        out = matpoly_multiply(a, b, extended=True)
+        assert out.shape == (4, 4, a.shape[2] + b.shape[2] - 1)
+        assert not out.any()
+
+
+def test_matpoly_multiply_extended_guard_fires(monkeypatch):
+    rng = np.random.default_rng(37)
+    ca, cb = crandn(rng, 7, 7, 65), crandn(rng, 7, 7, 65)
+    matpoly_multiply(ca, cb, extended=True)
+    bits = fftpoly._split_bits
+    # Eight bits past the budget the integer product is no longer exact.
+    monkeypatch.setattr(fftpoly, "_split_bits", lambda *shape: bits(*shape) + 8)
+    with pytest.raises(RuntimeError, match="inexact"):
+        matpoly_multiply(ca, cb, extended=True)
+
+
+def test_matpoly_multiply_extended_non_finite_passes_through():
+    rng = np.random.default_rng(38)
+    ca, cb = crandn(rng, 5, 5, 9), crandn(rng, 5, 5, 9)
+    for bad in (np.nan, np.inf):
+        a = ca.copy()
+        a[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = matpoly_multiply(a, cb, extended=True)
+        assert not np.isfinite(out).all()
 
 
 def test_matpoly_multiply_constant_fast_path():
