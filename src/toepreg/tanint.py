@@ -79,7 +79,7 @@ the extension and the tree's split cannot disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft as _sfft
@@ -94,11 +94,6 @@ __all__ = [
     "rec_tan_int",
     "extract_solution",
 ]
-
-# Columns blown past this magnitude get rescaled mid-run; pure column
-# scaling, so degrees and the spanned module are untouched.
-_RESCALE_TRIGGER = 1e8
-_RESCALE_PERIOD = 8
 
 # A pivot smaller than this fraction of the largest candidate defers its
 # condition; the cleanup pass accepts pivots down to 1e-13.
@@ -126,13 +121,7 @@ class TanIntDiagnostics:
     leaf_retries: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "conditions_total": self.conditions_total,
-            "difficult_points": self.difficult_points,
-            "recursion_depth": self.recursion_depth,
-            "max_column_scale": self.max_column_scale,
-            "leaf_retries": self.leaf_retries,
-        }
+        return asdict(self)
 
 
 class _Workspace:
@@ -228,27 +217,14 @@ class _Workspace:
         if lj >= self.length:
             self.length = lj + 1
 
-    def _rows(self) -> np.ndarray:
-        return self.store[self.res:self.res + self.length * len(self.lens)]
-
-    def rescale(self, trigger: float = _RESCALE_TRIGGER):
-        """Divide the columns past ``trigger`` by their largest coefficient,
-        residual rows included."""
-        colmax = np.abs(self._rows()).max(axis=0)
-        big = colmax > trigger
-        if not big.any():
-            return None
-        end = self.res + self.length * len(self.lens)
-        self.store[:end, big] /= colmax[big]
-        return float(colmax[big].max())
-
     def normalize(self) -> float:
         return _normalize_columns(self._cube())
 
     def _cube(self) -> np.ndarray:
         """The basis as a (p, p, length) view into the store."""
         p = len(self.lens)
-        rows = self._rows().reshape(p, self.length, p, order="F")
+        rows = self.store[self.res:self.res + self.length * p]
+        rows = rows.reshape(p, self.length, p, order="F")
         return rows.transpose(0, 2, 1)
 
     def view(self) -> np.ndarray:
@@ -287,8 +263,8 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     workspace that starts from the identity.
 
     Returns (coeffs, factor, deferred): the column-normalized basis as a
-    (p, p, length) array, the sweep's largest column divisor (at least 1,
-    mid-sweep rescales included) and the refs of the deferred conditions.
+    (p, p, length) array, the divisor of its largest column (at least 1)
+    and the refs of the deferred conditions.
     Each absorbed condition lengthens one column by one, from 1, so the
     basis is at most ``len(nodes) + 1`` coefficients long.
 
@@ -311,7 +287,6 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     floors = (_ROW_FLOOR * np.abs(weights).max(axis=1)).tolist()
     cd = col_degrees.tolist()
     cols = range(len(cd))
-    factor = 1.0
     deferred = []
     try:
         for t in range(len(nodes)):
@@ -334,13 +309,9 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
             mu[j] = 0.0
             ws.step(j, nodes[t], mu)
             cd[j] += 1
-            if (t + 1) % _RESCALE_PERIOD == 0:
-                scale = ws.rescale()
-                if scale is not None:
-                    factor = max(factor, scale)
     finally:
         col_degrees[:] = cd
-    factor = max(ws.normalize(), factor)
+    factor = ws.normalize()
     return ws.view(), factor, deferred
 
 
@@ -358,7 +329,7 @@ def _stride_order(count: int, bump: int = 0) -> np.ndarray:
     while the basis is still too low-degree to tell them apart.
 
     A ``bump`` starts the coprime search that far past the golden stride;
-    leaf retries use it for nearby alternative orders.
+    the leaf retries use it for one nearby alternative order.
     """
     if count <= 2:
         return np.arange(count)
@@ -376,12 +347,11 @@ _LEAF_CHECK_TOL = 1e-11
 
 def _leaf_orders(count: int):
     """The default absorption order, then fallbacks for a failed self-check:
-    nearby coprime strides and the reversed default sweep."""
+    one nearby coprime stride and the reversed default sweep."""
     yield _stride_order(count)
     if count <= 2:
         return
-    for bump in (2, 5):
-        yield _stride_order(count, bump)
+    yield _stride_order(count, 2)
     yield _stride_order(count)[::-1]
 
 
@@ -429,7 +399,7 @@ class _Engine:
         basis = self._cleanup(basis)
         self.diag.difficult_points = len(self.deferred)
         # Leaves, combines, and the cleanup pass each leave their output
-        # column-normalized; rescaling again here would only perturb low bits
+        # column-normalized; normalizing again here would only perturb low bits
         # and break bitwise agreement with a single serial sweep below n_lim.
         return basis
 
@@ -478,7 +448,8 @@ class _Engine:
         by it, vanish.  The pivot rule, threshold, and deferral policy are
         identical in every attempt; only the condition order changes.
         Conditions the attempt deferred belong to the cleanup pass and are
-        left out of its check.
+        left out of its check.  A NaN residual, as an overflowed attempt
+        gives, ranks below every finite one.
         """
         cosets = self._cosets(o, stride)
         parts = [np.arange(c, self.order, s) for c, s in cosets]
@@ -492,6 +463,8 @@ class _Engine:
             coeffs, factor, deferred = _serial_core(nodes, sub, refs, cd,
                                                     _PIVOT_THRESHOLD, True)
             res = self._leaf_residual(coeffs, cosets, w_in, deferred, scale)
+            if math.isnan(res):
+                res = math.inf
             if best is None or res < best[0]:
                 best = (res, coeffs, cd, deferred, factor)
             if best[0] <= _LEAF_CHECK_TOL:
@@ -506,17 +479,17 @@ class _Engine:
     def _leaf_residual(self, coeffs, cosets, w_in, deferred, scale) -> float:
         """Worst of the leaf's weights ``w_in`` (one array per coset),
         premultiplied by the leaf basis, relative to ``scale``; the rows of
-        the ``deferred`` refs are left out."""
+        the ``deferred`` refs are left out.  A NaN anywhere gives NaN."""
         if scale == 0.0:
             return 0.0
-        worst = 0.0
+        worst = []
         for (c, s), w in zip(cosets, w_in):
             res = self._premultiplied(w, coeffs, c, s)
             for k, row in deferred:
                 if (k - c) % s == 0:
                     res[row, (k - c) // s] = 0.0
-            worst = max(worst, float(np.abs(res).max()))
-        return worst / scale
+            worst.append(np.abs(res).max())
+        return float(np.max(worst)) / scale
 
     # -- deferred conditions -----------------------------------------------
 

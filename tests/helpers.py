@@ -12,6 +12,10 @@ where the library builds one column-major store per sweep, stepped by BLAS,
 and carries each condition as an updated residual row.  The two take the
 same decisions, and their coefficients agree to rounding.  Only the
 reference can start from a given basis, as the full-basis cleanup does.
+The order-basis check at the end needs no second sweep: it asks of a
+sweep's basis what makes it one, that its absorbed conditions hold, that
+its degree ledger counts them and that its entries end at their shifted
+degrees.
 """
 
 import numpy as np
@@ -281,10 +285,10 @@ def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
 class CubeWorkspace:
     """The leaf workspace as a (p, p, capacity) coefficient cube: entry
     (i, k)'s z^l coefficient sits at ``c[i, k, l]``, and a step is one
-    NumPy broadcast over the cube.  It has the ``step``, ``rescale``,
-    ``normalize`` and ``view`` of ``tanint._Workspace``, whose store it is
-    the reference for, evaluates the basis afresh with ``value``, and can
-    start from a given basis, every column at its full length."""
+    NumPy broadcast over the cube.  It has the ``step``, ``normalize`` and
+    ``view`` of ``tanint._Workspace``, whose store it is the reference for,
+    evaluates the basis afresh with ``value``, and can start from a given
+    basis, every column at its full length."""
 
     def __init__(self, p, capacity, coeffs=None):
         self.c = np.zeros((p, p, capacity), dtype=np.complex128)
@@ -308,14 +312,6 @@ class CubeWorkspace:
         np.maximum(lens, lj, out=lens, where=mu != 0.0)
         lens[j] = lj + 1
         self.length = int(lens.max())
-
-    def rescale(self, trigger: float = tanint._RESCALE_TRIGGER):
-        colmax = np.abs(self.c[:, :, :self.length]).max(axis=(0, 2))
-        big = colmax > trigger
-        if not big.any():
-            return None
-        self.c[:, big, :self.length] /= colmax[big][None, :, None]
-        return float(colmax[big].max())
 
     def normalize(self) -> float:
         return tanint._normalize_columns(self.c[:, :, :self.length])
@@ -344,7 +340,6 @@ def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
                        basis)
     floors = [tanint._ROW_FLOOR * np.abs(ws.value(node, w)).max()
               for node, w in zip(nodes, weights)]
-    factor = 1.0
     deferred = []
     for t in range(len(nodes)):
         node = nodes[t]
@@ -366,9 +361,45 @@ def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
         mu[j] = 0.0
         ws.step(j, node, mu)
         col_degrees[j] += 1
-        if (t + 1) % tanint._RESCALE_PERIOD == 0:
-            scale = ws.rescale()
-            if scale is not None:
-                factor = max(factor, scale)
-    factor = max(ws.normalize(), factor)
+    factor = ws.normalize()
     return ws.view(), factor, deferred
+
+
+# -- what makes a sweep's basis an order basis -------------------------------
+
+
+def assert_order_basis(coeffs, conditions, tau, start, final, deferred,
+                       bound: float):
+    """Check a sweep's (p, p, length) basis against what an order basis for
+    its absorbed conditions is (Beckermann and Labahn, SIMAX 1994), with no
+    second sweep to compare against.
+
+    ``conditions`` is the sweep's (nodes, weights, refs); the absorbed ones
+    are those whose ref is not in ``deferred``.  ``start`` and ``final`` are
+    the degree ledgers before and after the sweep, for the shift ``tau``.
+
+    - Every absorbed condition holds on the column-normalized basis:
+      ``|w_t . B(x_t)|`` is at most ``bound * max|w_t|`` in every column.
+    - The ledger: ``sum(final - start)`` is the number of absorbed
+      conditions, one degree each.
+    - Entry (i, j) has exactly zero coefficients past degree
+      ``final[j] + tau[i]``.
+    """
+    nodes, weights, refs = conditions
+    p, _, length = coeffs.shape
+    skipped = set(deferred)
+    absorbed = np.array([ref not in skipped for ref in refs], dtype=bool)
+    final, start = np.asarray(final), np.asarray(start)
+    assert int((final - start).sum()) == int(absorbed.sum())
+    limit = final[None, :] + np.asarray(tau)[:, None]
+    past = np.arange(length)[None, None, :] > limit[:, :, None]
+    assert not coeffs[past].any()
+    if not absorbed.any():
+        return
+    basis = coeffs.copy()
+    tanint._normalize_columns(basis)
+    at = np.asarray(nodes)[absorbed]
+    vals = basis.reshape(p * p, length) @ (at[None, :] ** np.arange(length)[:, None])
+    w = np.asarray(weights)[absorbed]
+    phi = np.einsum("ti,ijt->tj", w, vals.reshape(p, p, -1))
+    assert (np.abs(phi).max(axis=1) <= bound * np.abs(w).max(axis=1)).all()
