@@ -7,23 +7,14 @@ computed by pointwise evaluation at enough roots of unity and an inverse
 transform; evaluation on a coset of a root grid folds coefficients first so
 the transform length never exceeds the node count.
 
-An extended product (``matpoly_multiply(..., extended=True)``) splits each
-operand exactly into small Gaussian integers and a remainder, after Ozaki,
+The matrix-polynomial product ``matpoly_multiply`` splits each operand
+exactly into small Gaussian integers and a remainder, after Ozaki,
 Ogita, Oishi and Rump (Numer. Algorithms 59, 2012), so that the product of
 the integer parts comes out of ordinary double transforms exactly.  It is
 accurate to about 2**-(53 + b) of each operand's largest coefficient, with
 b the bits the split keeps (set from the shapes: 14-17 at n = 512-2048,
 21 for constants).  That bound is norm-wise and the same on every
-platform.  A long-double product, which this replaces, was accurate series
-by series, so a series wholly below 2**-b of its operand's largest gets
-only double's relative accuracy: on a nufft combine (p = 5, 513 x 513
-coefficients), entries that cancel came out 1-10x more accurate than in
-long double, while a row 1e3 below the largest, which does not cancel,
-carried ~1e-16 relative error against ~1e-19.  End to end this averages
-out: the nufft benchmark's residual digits moved by -0.03 to +0.06 per
-seed over seeds 1-8 (+0.015 on average), about as far as flipping the
-last bit of the long-double products at random moved them (-0.02 to -0.12
-on three seeds).
+platform.
 """
 
 from __future__ import annotations
@@ -92,16 +83,6 @@ def grid_eval(coeffs, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndar
     return count * np.fft.ifft(c, n=count, axis=-1)
 
 
-def _trim_tail(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
-    mx = np.abs(coeffs).max()
-    if mx == 0.0:
-        return coeffs[..., :1]
-    profile = np.abs(coeffs).max(axis=tuple(range(coeffs.ndim - 1)))
-    keep = np.flatnonzero(profile > rel_tol * mx)
-    stop = int(keep[-1]) + 1 if keep.size else 1
-    return coeffs[..., :stop]
-
-
 class MatrixPoly:
     """Square matrix polynomial; ``coeffs[i, j, d]`` is the z**d coefficient
     of entry (i, j)."""
@@ -118,8 +99,13 @@ class MatrixPoly:
     def length(self) -> int:
         return self.coeffs.shape[2]
 
-    def trimmed(self, rel_tol: float = 1e-14) -> "MatrixPoly":
-        return MatrixPoly(_trim_tail(self.coeffs, rel_tol).copy())
+    def trimmed(self) -> "MatrixPoly":
+        """A copy without the trailing coefficients whose entries are all at
+        most 1e-14 of the largest; an all-zero polynomial keeps one."""
+        mag = np.abs(self.coeffs)
+        keep = np.flatnonzero(mag.max(axis=(0, 1)) > 1e-14 * mag.max())
+        stop = int(keep[-1]) + 1 if keep.size else 1
+        return MatrixPoly(self.coeffs[..., :stop].copy())
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,10 +146,11 @@ def _split(c: np.ndarray, bits: int):
     return parts.view(np.complex128), e
 
 
-def _split_product(ca: np.ndarray, cb: np.ndarray, out: int) -> np.ndarray:
+def _split_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """ca x cb from a split of each operand: the integer parts' product is
     rounded to the exact integers, the cross terms added, rounded once."""
     p, la, lb = ca.shape[0], ca.shape[-1], cb.shape[-1]
+    out = la + lb - 1
     r = next_fast_len(out)
     bits = _split_bits(p, la, lb, r)
     # Non-finite coefficients give NaN parts; they pass the guard below (a
@@ -182,46 +169,26 @@ def _split_product(ca: np.ndarray, cb: np.ndarray, out: int) -> np.ndarray:
         miss = np.abs(res[0] - whole).max()
         if miss > 0.25:
             raise RuntimeError(
-                f"extended product inexact: integer part off by {miss:.3g}")
+                f"split product inexact: integer part off by {miss:.3g}")
         return np.ldexp(whole + res[1], ea + eb).view(np.complex128)
 
 
-def _matpoly_mul_coeffs(ca: np.ndarray, cb: np.ndarray,
-                        extended: bool = False) -> np.ndarray:
-    la, lb = ca.shape[-1], cb.shape[-1]
-    out = la + lb - 1
-    if extended:
-        return _split_product(ca, cb, out)
-    if out == 1:
-        return (ca[:, :, 0] @ cb[:, :, 0])[:, :, None]
-    r = next_fast_len(out)
-    fa = np.moveaxis(np.fft.fft(ca, r, axis=-1), -1, 0)
-    fb = np.moveaxis(np.fft.fft(cb, r, axis=-1), -1, 0)
-    prod = fa @ fb
-    return np.ascontiguousarray(np.fft.ifft(np.moveaxis(prod, 0, -1), axis=-1)[:, :, :out])
+def matpoly_multiply(a: MatrixPoly, b: MatrixPoly) -> MatrixPoly:
+    """Product of two p x p matrix polynomials, of length la + lb - 1.
 
-
-def matpoly_multiply(a, b, extended: bool = False):
-    """Product of two matrix polynomials (MatrixPoly or raw coefficient arrays).
-
-    With extended=True each operand is split exactly into small Gaussian
-    integers and a remainder, scaled by a power of two; the integer parts
-    multiply exactly in double transforms, the cross terms are added and
-    each coefficient is rounded once.  The result is accurate to about
-    2**-(53 + b) of the operands' largest coefficients (b is 14-17 bits at
-    the solver's shapes), norm-wise rather than entry by entry, and on every
-    platform alike; it costs 2-3 plain products.  A cascade of pairwise
-    products whose downstream consumer is sensitive to coherent coefficient
-    error wants this; one-off products do not.  RuntimeError if the integer
+    Each operand is split exactly into small Gaussian integers and a
+    remainder, scaled by a power of two; the integer parts multiply exactly
+    in double transforms, the cross terms are added and each coefficient is
+    rounded once.  The result is accurate to about 2**-(53 + b) of the
+    operands' largest coefficients (b is 14-17 bits at the solver's shapes),
+    norm-wise rather than entry by entry, and on every platform alike; it
+    costs 2-3 plain FFT products.  The interpolation tree chains its
+    combine products, and the bases they feed are sensitive to coherent
+    coefficient error, which a plain double product would leave.
+    ValueError if the operands' p differ; RuntimeError if the integer
     product misses the integers by more than 1/4, which the a priori bit
     budget rules out.
     """
-    ca = a.coeffs if isinstance(a, MatrixPoly) else np.asarray(a, dtype=np.complex128)
-    cb = b.coeffs if isinstance(b, MatrixPoly) else np.asarray(b, dtype=np.complex128)
-    if ca.shape[:2] != cb.shape[:2]:
+    if a.coeffs.shape[0] != b.coeffs.shape[0]:
         raise ValueError("matrix polynomial dimensions do not match")
-    out = _matpoly_mul_coeffs(ca, cb, extended)
-    if isinstance(a, MatrixPoly) or isinstance(b, MatrixPoly):
-        return MatrixPoly(out)
-    return out
-
+    return MatrixPoly(_split_product(a.coeffs, b.coeffs))

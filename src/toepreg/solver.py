@@ -155,7 +155,6 @@ def apply_normal_operator(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CGConfig:
-    max_iterations: Optional[int] = None
     tolerance: float = 1e-12
     time_budget: Optional[float] = None
 
@@ -164,8 +163,8 @@ def cg_solve(problem: ProblemSpec, config: CGConfig = None,
              operator: NormalOperator = None):
     """Plain conjugate gradients from a zero start.  Returns (x, iterations).
 
-    The time budget is checked only after a completed iteration, so at least
-    one iteration always runs.
+    At most max(10 n, 100) iterations run.  The time budget is checked only
+    after a completed iteration, so at least one iteration always runs.
     """
     cfg = config or CGConfig()
     op = operator if operator is not None else NormalOperator(problem)
@@ -175,13 +174,12 @@ def cg_solve(problem: ProblemSpec, config: CGConfig = None,
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return x, 0
-    limit = cfg.max_iterations if cfg.max_iterations is not None else max(10 * n, 100)
     r = rhs.copy()
     d = r.copy()
     rho = float(np.vdot(r, r).real)
     start = time.perf_counter()
     iterations = 0
-    for _ in range(limit):
+    for _ in range(max(10 * n, 100)):
         ad = op.apply(d)
         alpha = rho / float(np.vdot(d, ad).real)
         x += alpha * d

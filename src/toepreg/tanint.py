@@ -62,10 +62,10 @@ the plain ``(index, row)`` ref naming its node and weight row.  After the
 tree, the cleanup pass absorbs the deferred conditions, in sorted ref order
 then stride order, in batches of at most the system's ``n_lim``.  Each
 batch is swept like a leaf and multiplied into a short running product of
-the batch bases; one extended combine product (``fftpoly``'s error-free
-split) then multiplies the tree basis by it, whatever the number of
-batches.  A deferred condition thus costs one more leaf-sized sweep, not a
-step over the full-length basis.
+the batch bases; one combine product (``fftpoly``'s error-free split) then
+multiplies the tree basis by it, whatever the number of batches.  A
+deferred condition thus costs one more leaf-sized sweep, not a step over
+the full-length basis.
 Before each batch the running product is scaled as the basis was when
 every batch had a full-length product of its own, so each batch takes the
 pivots it took then.
@@ -417,7 +417,7 @@ class _Engine:
             self.weights[:, idx] = self._premultiplied(
                 self.weights[:, idx], b_left.coeffs, c, child)
         b_right = self._rec(o + stride, child, depth + 1)
-        prod = matpoly_multiply(b_left, b_right, extended=True).trimmed()
+        prod = matpoly_multiply(b_left, b_right).trimmed()
         factor = _normalize_columns(prod.coeffs)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return prod
@@ -502,9 +502,9 @@ class _Engine:
         of its own: its weights, premultiplied further by the running
         product R of the batch bases so far at the batch's nodes, are swept
         into a fresh leaf-sized workspace, and the batch basis joins R
-        through one short extended product.  One extended product, the only
-        one as long as the tree basis, then forms tree x R, column-normalized
-        as ``_rec`` normalizes a combine.
+        through one short product.  One product, the only one as long as
+        the tree basis, then forms tree x R, column-normalized as ``_rec``
+        normalizes a combine.
 
         Before each batch after the first, R's columns are divided by the
         column maxima of tree x R: the divisors the basis had when each
@@ -533,7 +533,7 @@ class _Engine:
                                              points[batch], self.col_degrees,
                                              1e-13, False)
             step = MatrixPoly(coeffs)
-            run = step if run is None else matpoly_multiply(run, step, extended=True)
+            run = step if run is None else matpoly_multiply(run, step)
             if batch.stop < len(points):
                 # Scale as the per-batch product would be normalized.  One
                 # transform of the tree serves the scale products, sized for
@@ -547,7 +547,7 @@ class _Engine:
                 run.coeffs /= peaks[None, :, None]
                 factor = max(factor, float(peaks.max()))
             self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
-        basis = matpoly_multiply(tree, run, extended=True).trimmed()
+        basis = matpoly_multiply(tree, run).trimmed()
         factor = _normalize_columns(basis.coeffs)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return basis

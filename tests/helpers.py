@@ -232,7 +232,7 @@ def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
 
 def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
     """Reference for ``_Engine._cleanup``: the same batches, each folded
-    into the full-length basis by its own extended product.
+    into the full-length basis by its own product.
 
     Each batch's pristine weights are premultiplied by the current basis on
     the node grid, swept into a fresh leaf-sized workspace, and the batch
@@ -249,7 +249,7 @@ def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
         weights = np.einsum("ti,ijt->tj", engine.pristine[row, index], vals)
         coeffs, factor, _ = tanint._serial_core(
             engine.nodes[index], weights, refs, engine.col_degrees, 1e-13, False)
-        basis = matpoly_multiply(basis, MatrixPoly(coeffs), extended=True).trimmed()
+        basis = matpoly_multiply(basis, MatrixPoly(coeffs)).trimmed()
         factor = max(factor, tanint._normalize_columns(basis.coeffs))
         engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
     return basis

@@ -26,7 +26,7 @@ from toepreg.experiments import (
     run_complexity,
 )
 from toepreg.extension import assemble, opt_extend
-from toepreg.fftpoly import MatrixPoly, next_fast_len
+from toepreg.fftpoly import next_fast_len
 from toepreg.nufft import NufftConfig, run_nufft
 from toepreg.solver import apply_normal_operator, dense_oracle, solve_tikhonov
 from toepreg.tanint import extract_solution, rec_tan_int
@@ -140,12 +140,10 @@ def test_transform_work_grows_as_n_log2_n(monkeypatch):
     work = []
     multiply, grid_eval = tanint.matpoly_multiply, tanint.grid_eval
 
-    def counted_multiply(a, b, extended=False):
-        ca = a.coeffs if isinstance(a, MatrixPoly) else np.asarray(a)
-        cb = b.coeffs if isinstance(b, MatrixPoly) else np.asarray(b)
-        r = next_fast_len(ca.shape[-1] + cb.shape[-1] - 1)
-        work.append(ca.shape[0] ** 2 * r * math.log2(r))
-        return multiply(a, b, extended)
+    def counted_multiply(a, b):
+        r = next_fast_len(a.length + b.length - 1)
+        work.append(a.coeffs.shape[0] ** 2 * r * math.log2(r))
+        return multiply(a, b)
 
     def counted_grid_eval(coeffs, n_nodes, offset=0, stride=1):
         r = n_nodes // stride

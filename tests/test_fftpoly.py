@@ -32,6 +32,14 @@ def schoolbook_matpoly(a: MatrixPoly, b: MatrixPoly) -> np.ndarray:
     return out
 
 
+def fft_matpoly(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The plain double product: pointwise matrix products of the transforms."""
+    out = ca.shape[-1] + cb.shape[-1] - 1
+    fa = np.moveaxis(np.fft.fft(ca, out, axis=-1), -1, 0)
+    fb = np.moveaxis(np.fft.fft(cb, out, axis=-1), -1, 0)
+    return np.ascontiguousarray(np.fft.ifft(np.moveaxis(fa @ fb, 0, -1), axis=-1))
+
+
 def exact_matpoly(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """The exact product, rounded once to double.
 
@@ -139,21 +147,13 @@ def test_matrix_poly_identity_product():
 
 
 def test_matpoly_multiply_matches_schoolbook():
-    rng = np.random.default_rng(27)
-    a = MatrixPoly(crandn(rng, 7, 7, 9))
-    b = MatrixPoly(crandn(rng, 7, 7, 9))
-    ref = schoolbook_matpoly(a, b)
-    out = matpoly_multiply(a, b)
-    assert np.abs(out.coeffs - ref).max() / np.abs(ref).max() < 1e-11
-
-
-def test_matpoly_multiply_extended_matches_schoolbook():
     rng = np.random.default_rng(28)
-    a = MatrixPoly(crandn(rng, 5, 5, 33))
-    b = MatrixPoly(crandn(rng, 5, 5, 20))
-    ref = schoolbook_matpoly(a, b)
-    out = matpoly_multiply(a, b, extended=True)
-    assert np.abs(out.coeffs - ref).max() / np.abs(ref).max() < 1e-11
+    for p, la, lb in ((7, 9, 9), (5, 33, 20)):
+        a = MatrixPoly(crandn(rng, p, p, la))
+        b = MatrixPoly(crandn(rng, p, p, lb))
+        ref = schoolbook_matpoly(a, b)
+        out = matpoly_multiply(a, b)
+        assert np.abs(out.coeffs - ref).max() / np.abs(ref).max() < 1e-11
 
 
 @pytest.mark.parametrize("p, la, lb, decay", [
@@ -166,57 +166,55 @@ def test_matpoly_multiply_extended_matches_exact_product(p, la, lb, decay):
     ca = crandn(rng, p, p, la) * np.exp(-decay * np.arange(la))
     cb = crandn(rng, p, p, lb) * np.exp(-decay * np.arange(lb))
     ref = exact_matpoly(ca, cb)
-    assert within_an_ulp(matpoly_multiply(ca, cb, extended=True), ref)
-    # The bound tells the extended product from the plain one.
-    assert not within_an_ulp(matpoly_multiply(ca, cb), ref)
+    out = matpoly_multiply(MatrixPoly(ca), MatrixPoly(cb))
+    assert within_an_ulp(out.coeffs, ref)
+    # The bound tells the split product from a plain one.
+    assert not within_an_ulp(fft_matpoly(ca, cb), ref)
 
 
 def test_matpoly_multiply_extended_length_one():
     rng = np.random.default_rng(35)
     ca, cb = crandn(rng, 6, 6, 1), crandn(rng, 6, 6, 1)
-    out = matpoly_multiply(ca, cb, extended=True)
-    assert out.shape == (6, 6, 1)
-    assert within_an_ulp(out, exact_matpoly(ca, cb))
+    out = matpoly_multiply(MatrixPoly(ca), MatrixPoly(cb))
+    assert out.coeffs.shape == (6, 6, 1)
+    assert within_an_ulp(out.coeffs, exact_matpoly(ca, cb))
 
 
 def test_matpoly_multiply_extended_zero_operands():
     rng = np.random.default_rng(36)
-    zero, c = np.zeros((4, 4, 5), dtype=np.complex128), crandn(rng, 4, 4, 7)
+    zero, c = MatrixPoly(np.zeros((4, 4, 5))), MatrixPoly(crandn(rng, 4, 4, 7))
     for a, b in ((zero, c), (c, zero), (zero, zero)):
-        out = matpoly_multiply(a, b, extended=True)
-        assert out.shape == (4, 4, a.shape[2] + b.shape[2] - 1)
-        assert not out.any()
+        out = matpoly_multiply(a, b)
+        assert out.length == a.length + b.length - 1
+        assert not out.coeffs.any()
+
+
+def test_matpoly_multiply_rejects_mismatched_p():
+    with pytest.raises(ValueError):
+        matpoly_multiply(identity_poly(3), identity_poly(4))
 
 
 def test_matpoly_multiply_extended_guard_fires(monkeypatch):
     rng = np.random.default_rng(37)
-    ca, cb = crandn(rng, 7, 7, 65), crandn(rng, 7, 7, 65)
-    matpoly_multiply(ca, cb, extended=True)
+    a, b = MatrixPoly(crandn(rng, 7, 7, 65)), MatrixPoly(crandn(rng, 7, 7, 65))
+    matpoly_multiply(a, b)
     bits = fftpoly._split_bits
     # Eight bits past the budget the integer product is no longer exact.
     monkeypatch.setattr(fftpoly, "_split_bits", lambda *shape: bits(*shape) + 8)
     with pytest.raises(RuntimeError, match="inexact"):
-        matpoly_multiply(ca, cb, extended=True)
+        matpoly_multiply(a, b)
 
 
 def test_matpoly_multiply_extended_non_finite_passes_through():
     rng = np.random.default_rng(38)
-    ca, cb = crandn(rng, 5, 5, 9), crandn(rng, 5, 5, 9)
+    ca, b = crandn(rng, 5, 5, 9), MatrixPoly(crandn(rng, 5, 5, 9))
     for bad in (np.nan, np.inf):
         a = ca.copy()
         a[1, 2, 3] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = matpoly_multiply(a, cb, extended=True)
-        assert not np.isfinite(out).all()
-
-
-def test_matpoly_multiply_constant_fast_path():
-    rng = np.random.default_rng(29)
-    a = MatrixPoly(crandn(rng, 4, 4, 1))
-    b = MatrixPoly(crandn(rng, 4, 4, 1))
-    out = matpoly_multiply(a, b)
-    assert np.abs(out.coeffs[:, :, 0] - a.coeffs[:, :, 0] @ b.coeffs[:, :, 0]).max() < 1e-13
+            out = matpoly_multiply(MatrixPoly(a), b)
+        assert not np.isfinite(out.coeffs).all()
 
 
 def test_eval_product_homomorphism():
@@ -258,6 +256,8 @@ def test_trimmed_stops_degree_creep():
     c[:, :, 7] = 1e-17
     t = MatrixPoly(c).trimmed()
     assert t.length == 4
+    # An all-zero polynomial keeps one coefficient.
+    assert MatrixPoly(np.zeros((3, 3, 8))).trimmed().length == 1
 
 
 def test_column_tau_degrees():

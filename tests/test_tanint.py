@@ -591,7 +591,8 @@ def test_column_peaks_are_the_product_column_maxima():
     for length in (1, 12, 30):
         right = crandn(rng, 5, 5, length)
         right[:, 3] = 0.0
-        expected = np.abs(matpoly_multiply(left, right)).max(axis=(0, 2))
+        product = matpoly_multiply(MatrixPoly(left), MatrixPoly(right))
+        expected = np.abs(product.coeffs).max(axis=(0, 2))
         expected[3] = 1.0
         peaks = tanint._column_peaks(left_hat, right)
         assert np.allclose(peaks, expected, rtol=1e-14, atol=0.0)
@@ -660,10 +661,10 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
         sweeps.append(len(nodes))
         return serial_core(nodes, *args)
 
-    def product(a, b, extended=False):
+    def product(a, b):
         if trees:
-            products.append((a.length, b.length, extended))
-        return multiply(a, b, extended=extended)
+            products.append((a.length, b.length))
+        return multiply(a, b)
 
     def traced_cleanup(self, tree):
         trees.append(tree.length)
@@ -687,15 +688,15 @@ def test_cleanup_sweeps_deferred_conditions_at_leaf_size(monkeypatch):
         # more in a cleanup batch, and no sweep outgrows a leaf
         assert sum(sweeps) == diag.conditions_total + diag.difficult_points
         assert max(sweeps) <= n_lim
-        # Whatever the batch count, the cleanup makes one extended product
-        # as long as the tree basis; the batch bases meet in short ones.
+        # Whatever the batch count, the cleanup makes one product as long
+        # as the tree basis; the batch bases meet in short ones.
         batches = -(-diag.difficult_points // n_lim)
         assert batches > 1
-        full = [ext for a, b, ext in products if trees[0] in (a, b)]
-        short = [(a, b, ext) for a, b, ext in products if trees[0] not in (a, b)]
-        assert full == [True]
+        full = [(a, b) for a, b in products if trees[0] in (a, b)]
+        short = [(a, b) for a, b in products if trees[0] not in (a, b)]
+        assert len(full) == 1
         assert len(short) == batches - 1
-        assert all(ext and max(a, b) < trees[0] for a, b, ext in short)
+        assert all(max(a, b) < trees[0] for a, b in short)
 
 
 def test_recursive_final_degree_structure():
