@@ -75,11 +75,13 @@ def grid_eval(coeffs, n_nodes: int, offset: int = 0, stride: int = 1) -> np.ndar
     if off:
         c = c * np.exp(2j * np.pi * off * np.arange(length) / n_nodes)
     if length > count:
-        pad = (-length) % count
-        if pad:
-            width = [(0, 0)] * (c.ndim - 1) + [(0, pad)]
-            c = np.pad(c, width)
-        c = c.reshape(c.shape[:-1] + (-1, count)).sum(axis=-2)
+        # The blocks add one after another in ascending order, which fixes
+        # the rounding of the fold.
+        folded = c[..., :count].copy()
+        for start in range(count, length, count):
+            stop = min(start + count, length)
+            folded[..., :stop - start] += c[..., start:stop]
+        c = folded
     return count * np.fft.ifft(c, n=count, axis=-1)
 
 

@@ -139,24 +139,27 @@ class _Workspace:
     basis B, so the update that mixes the basis columns mixes every
     condition's value with them.  They start as the weights themselves.
 
-    ``lens[j]`` is the coefficient length of column j: every coefficient
-    row of that column at or past ``lens[j] * p`` is exactly zero.
-    ``length`` is the largest of them, the true length of the basis, and
-    every read stays inside it.  Absorbing a condition lengthens the pivot
-    column by one and brings the columns mixed with it up to the pivot's
-    old length, so the basis grows with its degree, not with the number of
-    conditions.
+    ``lens`` is a list of ints, ``lens[j]`` the coefficient length of
+    column j: every coefficient row of that column at or past
+    ``lens[j] * p`` is exactly zero.  ``length``, an int, is the largest
+    of them, the true length of the basis, and every read stays inside
+    it.  Absorbing a condition lengthens the pivot column by one and
+    brings the columns mixed with it up to the pivot's old length, so the
+    basis grows with its degree, not with the number of conditions.
 
     The coefficient block holds a power-of-two number of rows, at least
     ``_STORE_MIN_ROWS``, and doubles as the basis grows, copying its rows
     exactly, so the update's work tracks the basis length and a leaf's
-    store stays below OpenBLAS's threading size.  The residual block is
-    padded to a multiple of ``_STORE_MIN_ROWS``.  Both keep the BLAS
-    kernel's blocked and tail loops on the same rows whatever the store
-    size, so a sweep's bits do not depend on when the store grew.
+    store stays below OpenBLAS's threading size.  ``cap``, the number of
+    coefficients the block holds, is tracked as the block grows, not
+    recomputed per step, and a step calls ``_fit`` only when the pivot
+    column would outgrow it.  The residual block is padded to a multiple
+    of ``_STORE_MIN_ROWS``.  Both keep the BLAS kernel's blocked and tail
+    loops on the same rows whatever the store size, so a sweep's bits do
+    not depend on when the store grew.
     """
 
-    __slots__ = ("store", "lens", "length", "res", "res_nodes")
+    __slots__ = ("store", "lens", "length", "cap", "res", "res_nodes")
 
     def __init__(self, nodes, weights):
         count, p = weights.shape
@@ -169,21 +172,22 @@ class _Workspace:
         self.store[res:res + p] = np.eye(p)
         self.res_nodes = np.zeros(res, dtype=np.complex128)
         self.res_nodes[:count] = nodes
-        self.lens = np.ones(p, dtype=np.int64)
+        self.lens = [1] * p
         self.length = 1
 
     def _fit(self, length: int):
         """Grow the coefficient block, copying the store's rows exactly,
-        until it holds ``length`` coefficients."""
+        until it holds ``length`` coefficients; ``cap`` is what it holds."""
         rows, p = self.store.shape
         have = rows - self.res
-        if have >= length * p:
-            return
-        while have < length * p:
-            have *= 2
-        grown = np.zeros((self.res + have, p), dtype=np.complex128, order="F")
-        grown[:rows] = self.store
-        self.store = grown
+        if have < length * p:
+            while have < length * p:
+                have *= 2
+            grown = np.zeros((self.res + have, p), dtype=np.complex128,
+                             order="F")
+            grown[:rows] = self.store
+            self.store = grown
+        self.cap = have // p
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
@@ -193,13 +197,17 @@ class _Workspace:
         mu_i * head_l, so OpenBLAS's threaded path for large stores gives
         the same bits as its serial one.  The pivot column's coefficients
         shift by (z - node), and its residual entries are multiplied by
-        (nodes - node).  Column lengths are raised on Python scalars: each
-        column mixed with the pivot (mu_i != 0) reaches the pivot's old
-        length, the pivot one more, and ``length`` follows the pivot."""
+        (nodes - node), both written into the column with no temporary;
+        the shift keeps ``-node`` as its first operand, because NumPy's
+        vectorized complex multiply rounds ``head * -node`` apart from it.
+        Column lengths are raised on Python scalars: each column mixed with
+        the pivot (mu_i != 0) reaches the pivot's old length, the pivot one
+        more, and ``length`` follows the pivot."""
         lens = self.lens
-        lj = int(lens[j])
+        lj = lens[j]
         p = len(lens)
-        self._fit(lj + 1)
+        if lj >= self.cap:
+            self._fit(lj + 1)
         store = self.store
         head = store[:, j].copy()
         if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
@@ -207,7 +215,7 @@ class _Workspace:
         res = self.res
         end = res + lj * p
         col = store[:, j]
-        col[res:end] = -node * head[res:end]
+        np.multiply(-node, head[res:end], out=col[res:end])
         col[res + p:end + p] += head[res:end]
         np.multiply(head[:res], self.res_nodes - node, out=col[:res])
         for i, m in enumerate(mu.tolist()):
@@ -269,11 +277,15 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     basis is at most ``len(nodes) + 1`` coefficients long.
 
     A condition without an admissible pivot raises, or with ``defer`` is
-    deferred.  The pivot is the first largest of ``np.abs(phi)`` among the
-    lowest columns, as an argmax over them picks it, and the threshold test
-    takes the pivot's scalar ``abs``.  NumPy's vectorized complex abs and
-    the scalar one can round apart in the last bit, so neither stands in
-    for the other.
+    deferred.  The pivot comes from one scan of the lowest columns,
+    starting at the first of them, in which a column takes over only when
+    its magnitude in ``np.abs(phi)`` is strictly larger: the first largest
+    wins, as an argmax over them picks it.  A NaN magnitude compares false
+    both ways, so it neither displaces an earlier candidate nor is
+    displaced once it leads, as with Python's ``max``; ``np.argmax`` would
+    pick the first NaN instead.  The threshold test takes the pivot's
+    scalar ``abs``.  NumPy's vectorized complex abs and the scalar one can
+    round apart in the last bit, so neither stands in for the other.
 
     The condition value ``phi`` is the condition's residual row in the
     store, which every absorbed condition has updated along with the
@@ -285,19 +297,25 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     """
     ws = _Workspace(nodes, weights)
     floors = (_ROW_FLOOR * np.abs(weights).max(axis=1)).tolist()
+    points = nodes.tolist()
     cd = col_degrees.tolist()
-    cols = range(len(cd))
+    p = len(cd)
     deferred = []
     try:
-        for t in range(len(nodes)):
+        for t in range(len(points)):
             phi = ws.store[t]
             mags = np.abs(phi).tolist()
             amax = max(mags)
             small = amax <= floors[t]
             if not small:
                 low = min(cd)
-                j = max((i for i in cols if cd[i] == low), key=mags.__getitem__)
-                small = abs(phi[j]) < pivot_threshold * amax
+                j = cd.index(low)
+                top = mags[j]
+                for i in range(j + 1, p):
+                    if cd[i] == low and mags[i] > top:
+                        j, top = i, mags[i]
+                pj = phi[j]
+                small = abs(pj) < pivot_threshold * amax
             if small:
                 if not defer:
                     raise SingularSystemError(
@@ -305,9 +323,12 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
                     )
                 deferred.append(refs[t])
                 continue
-            mu = -phi / phi[j]
+            # -phi / phi[j] bit for bit wherever phi is nonzero, as complex
+            # division is symmetric in sign, with one scalar negation in
+            # place of a row's; an exact zero may take the other sign.
+            mu = np.divide(phi, -pj)
             mu[j] = 0.0
-            ws.step(j, nodes[t], mu)
+            ws.step(j, points[t], mu)
             cd[j] += 1
     finally:
         col_degrees[:] = cd

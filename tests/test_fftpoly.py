@@ -125,6 +125,23 @@ def test_grid_eval_folds_high_degrees():
     assert np.abs(grid_eval(c, 6) - unit_roots(6) ** 12).max() < 1e-13
 
 
+@pytest.mark.parametrize("length", [18, 7, 20],
+                         ids=["whole-blocks", "count-plus-one", "partial-third"])
+@pytest.mark.parametrize("offset, stride", [(0, 1), (5, 2)])
+def test_grid_eval_fold_matches_horner(length, offset, stride):
+    # Six points on the coset; 18 coefficients fold as three whole blocks,
+    # 7 as one block and one coefficient, 20 as three blocks and a part.
+    rng = np.random.default_rng(27)
+    n_nodes = 6 * stride
+    c = crandn(rng, 2, 3, length)
+    nodes = np.exp(2j * np.pi * (offset + stride * np.arange(6)) / n_nodes)
+    out = grid_eval(c, n_nodes, offset=offset, stride=stride)
+    ref = np.array([[[np.polyval(c[i, j, ::-1], z) for z in nodes]
+                     for j in range(3)] for i in range(2)])
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() / np.abs(ref).max() < 1e-13
+
+
 def test_grid_eval_coset_matches_horner():
     rng = np.random.default_rng(25)
     c = crandn(rng, 16)

@@ -189,7 +189,7 @@ def _assert_true_lengths(ws, ref):
     p = len(ws.lens)
     for j in range(p):
         assert not ws.store[ws.lens[j] * p:, j].any()
-    assert ws.length == ws.lens.max()
+    assert ws.length == max(ws.lens)
     assert np.abs(ws.view()[:, :, -1]).max() > 0.0
     # the whole-cube update's coefficients to rounding, nothing past length
     _assert_close_by_column(ws.view(), ref[:, :, :ws.length])
@@ -215,7 +215,7 @@ def test_workspace_tracks_true_column_lengths():
             _assert_true_lengths(ws, ref)
 
     steps(ws, 24)
-    assert ws.lens.min() < ws.length
+    assert min(ws.lens) < ws.length
     # normalizing writes through the store's cube view
     colmax = np.abs(ref).max(axis=(0, 2))
     assert ws.normalize() == pytest.approx(colmax.max(), rel=1e-12)
@@ -273,7 +273,7 @@ def test_step_raises_on_a_store_it_cannot_update_in_place():
     with pytest.raises(RuntimeError, match="in place"):
         ws.step(1, 1j, np.array([0.5, 0.0, 0.0, 2.0], dtype=complex))
     assert _same_bits(ws.store, before)
-    assert ws.lens.tolist() == [1, 1, 1, 1] and ws.length == 1
+    assert ws.lens == [1, 1, 1, 1] and ws.length == 1
 
 
 def test_each_step_lengthens_the_basis_by_at_most_one():
@@ -283,7 +283,7 @@ def test_each_step_lengthens_the_basis_by_at_most_one():
     mu = np.array([0.0, 1.0], dtype=complex)
     for node, lens in ((1.0, [2, 1]), (-1.0, [3, 2]), (1j, [4, 3])):
         ws.step(0, node, mu)
-        assert ws.lens.tolist() == lens and ws.length == lens[0]
+        assert ws.lens == lens and ws.length == lens[0]
     # over two columns, the third condition pivots on a column of length 2
     rng = np.random.default_rng(78)
     nodes = np.exp(2j * np.pi * rng.uniform(size=3))
@@ -857,6 +857,32 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
             assert deferred == [(0, 1)]
             *_, error = _assert_sweeps_match(*twice, [0, 0, 0], defer=False)
             assert error is not None
+
+
+@pytest.mark.parametrize("row, col_degrees, pivot", [
+    # the lowest columns start past column 0
+    ([0.5, 1.0, 0.5, 0.25], [1, 0, 1, 0], 1),
+    # the largest magnitudes sit on higher columns
+    ([0.5, 4.0, 1.0j, 8.0], [0, 1, 0, 2], 2),
+    # three lowest columns tie exactly, a higher one is larger
+    ([4.0, 2.0, 2.0j, -2.0, 3.0], [2, 0, 0, 0, 1], 1),
+], ids=["lowest-past-column-0", "larger-on-higher", "three-way-tie"])
+def test_scalar_sweep_picks_the_first_largest_lowest_column(row, col_degrees,
+                                                             pivot):
+    # Against the identity phi is the weight row, so the planted magnitudes
+    # decide the first pivot: the first largest among the lowest columns,
+    # bit for bit with the reference's argmax over them.
+    *_, cd, _ = _assert_sweeps_match(np.array([1.0j]), np.array([row]),
+                                     col_degrees, exact=True)
+    expected = list(col_degrees)
+    expected[pivot] += 1
+    assert cd.tolist() == expected
+    # The planted row leads a sweep whose later conditions pivot on the
+    # ledger it leaves, to rounding of the reference.
+    rng = np.random.default_rng(80)
+    weights = np.vstack([row, crandn(rng, 15, len(row))])
+    nodes = np.exp(2j * np.pi * rng.uniform(size=16))
+    _assert_sweeps_match(nodes, weights, col_degrees)
 
 
 def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
