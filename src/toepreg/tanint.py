@@ -11,9 +11,8 @@ Every node is a pair of adjacent cosets {o, o + 1} mod a power-of-two
 stride, the root the pair (0, 1) at stride 2, and one split halves a node
 into the pairs (o, o + 1) and (o + s, o + s + 1) at stride 2s.  A leaf
 holds at most the system's ``n_lim`` conditions: the pairs of M-node
-cosets at stride 2**p, or the root alone when p <= 1.  Each leaf basis is
-checked on its own cosets by the same grid evaluation that carries a left
-basis into its right sibling's weights.
+cosets at stride 2**p, or the root alone when p <= 1.  A left basis is
+carried into its right sibling's weights by one grid evaluation.
 
 Column degree bookkeeping is exact integer arithmetic: every absorbed
 condition raises exactly one column's shifted degree by one, and the pivot
@@ -27,35 +26,38 @@ contiguous vector.  The store tracks each column's coefficient length; its
 ``length`` is the largest of them.  An absorbed condition lengthens its
 pivot column by one and no column past that, so a leaf of K conditions
 over p columns returns a basis about K/(p-1) + 1 coefficients long, not
-K + 1, and every evaluation, self-check and combine product downstream
-works on that true length.
+K + 1, and every evaluation and combine product downstream works on that
+true length.
 
 The leaf sweeps of a solve take thousands of trips over p-entry vectors,
 where a NumPy call costs more than its arithmetic.  So each sweep builds a
 store of its own, holding the identity, with every one of its conditions as
 a residual row on top: row t holds the condition's value
-``weights[t] . B(nodes[t])`` against every column of the current basis B.
-The rows start as the weights, and each trip updates them with the basis
-instead of evaluating the basis at the condition's node: one BLAS rank-one
-update (``zgeru``, Dongarra et al., ACM TOMS 1988) mixes the pivot column
-into every other column, coefficient and residual rows alike, then the
-pivot column's coefficients shift by (z - node) and its residual entries
-are multiplied by (nodes - node).  This is how order-basis interpolation
-runs (Beckermann and Labahn, SIMAX 1994; Van Barel, Heinig and Kravanja,
-SIMAX 2001).  The bookkeeping (pivot choice, degree ledger, column lengths,
+``weights[t] . B(nodes[t])`` against every column of the current basis B,
+scaled by the condition's largest starting magnitude.  The rows start as
+the scaled weights, and each trip updates them with the basis instead of
+evaluating the basis at the condition's node: one BLAS rank-one update
+(``zgeru``, Dongarra et al., ACM TOMS 1988) mixes the pivot column into
+every other column, coefficient and residual rows alike, then the pivot
+column's coefficients shift by (z - node) and its residual entries are
+multiplied by (nodes - node).  This is how order-basis interpolation runs
+(Beckermann and Labahn, SIMAX 1994; Van Barel, Heinig and Kravanja, SIMAX
+2001).  The bookkeeping (pivot choice, degree ledger, column lengths,
 deferral) runs on Python scalars.  The sweep returns its basis
 column-normalized, and the store does not outlive it.
 
-An updated row carries the rounding of every update since its start, and
-its drift is not corrected within the sweep; the leaf self-check, which
-evaluates the finished basis afresh, is the guard against it.  The sweep
-takes the decisions of a plain NumPy loop that re-evaluates a (p, p,
-length) coefficient cube at each node, and its coefficients agree with
-that loop's to rounding, not bit for bit.  For the same reason a condition
-counts as annihilated, with no pivot, when its row has fallen to
-``_ROW_FLOOR`` of its starting magnitude, not when it is exactly zero: a
-repeated condition, updated by a kernel that fuses its multiply-adds, is
-left as rounding noise.
+Since every pending condition's current value sits in its row, the sweep
+chooses the next condition as partial pivoting chooses a row of a
+displacement-structured matrix (Gohberg, Kailath and Olshevsky, Math.
+Comp. 1995), with one BLAS ``izamax`` over the rows, so it needs no fixed
+order and no second look at its finished basis.  An updated row carries
+the rounding of every update since its start, uncorrected within the
+sweep: the sweep takes the decisions of a NumPy loop that re-evaluates a
+(p, p, length) coefficient cube at each node, and its coefficients agree
+with that loop's to rounding, not bit for bit.  So a condition counts as
+annihilated when its row has fallen to ``_ROW_FLOOR``, not to exactly
+zero: a repeated condition, updated by a kernel that fuses its
+multiply-adds, is left as rounding noise.
 
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
@@ -83,6 +85,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft as _sfft
+from scipy.linalg.blas import izamax as _izamax
 from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
@@ -102,7 +105,7 @@ _PIVOT_THRESHOLD = 1e-8
 # Smallest leaf store, in rows; a power of two (see ``_Workspace``).
 _STORE_MIN_ROWS = 64
 
-# A residual row that falls to this fraction of its starting magnitude is
+# A residual row, scaled to unit starting magnitude, that falls to this is
 # annihilated: rounding noise, not a condition value (see ``_serial_core``).
 _ROW_FLOOR = 1e-14
 
@@ -117,8 +120,6 @@ class TanIntDiagnostics:
     difficult_points: int = 0
     recursion_depth: int = 0
     max_column_scale: float = 1.0
-    # Leaf sweeps beyond the first, summed over leaves.
-    leaf_retries: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -136,8 +137,10 @@ class _Workspace:
 
     The store's top ``res`` rows are residual rows, one per condition of
     the sweep: row t holds ``weights[t] . B(nodes[t])`` for the current
-    basis B, so the update that mixes the basis columns mixes every
-    condition's value with them.  They start as the weights themselves.
+    basis B, divided by the largest magnitude of ``weights[t]`` (an
+    all-zero row stays zero) so that rows of different conditions compare,
+    and the update that mixes the basis columns mixes every condition's
+    value with them.  ``cols`` views each store column, for the row search.
 
     ``lens`` is a list of ints, ``lens[j]`` the coefficient length of
     column j: every coefficient row of that column at or past
@@ -159,7 +162,7 @@ class _Workspace:
     not depend on when the store grew.
     """
 
-    __slots__ = ("store", "lens", "length", "cap", "res", "res_nodes")
+    __slots__ = ("store", "cols", "lens", "length", "cap", "res", "res_nodes")
 
     def __init__(self, nodes, weights):
         count, p = weights.shape
@@ -168,7 +171,9 @@ class _Workspace:
                               order="F")
         self.res = res
         self._fit(1)
-        self.store[:count] = weights
+        scale = np.abs(weights).max(axis=1, initial=0.0)
+        scale[scale == 0.0] = 1.0
+        np.divide(weights, scale[:, None], out=self.store[:count])
         self.store[res:res + p] = np.eye(p)
         self.res_nodes = np.zeros(res, dtype=np.complex128)
         self.res_nodes[:count] = nodes
@@ -188,6 +193,7 @@ class _Workspace:
             grown[:rows] = self.store
             self.store = grown
         self.cap = have // p
+        self.cols = [self.store[:, k] for k in range(p)]
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
@@ -267,14 +273,23 @@ def _column_peaks(left_hat, coeffs) -> np.ndarray:
 
 
 def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
-    """One sweep: absorb the given conditions in order into a fresh
-    workspace that starts from the identity.
+    """One sweep: absorb the given conditions, in the order it chooses,
+    into a fresh workspace that starts from the identity.
 
     Returns (coeffs, factor, deferred): the column-normalized basis as a
     (p, p, length) array, the divisor of its largest column (at least 1)
     and the refs of the deferred conditions.
     Each absorbed condition lengthens one column by one, from 1, so the
     basis is at most ``len(nodes) + 1`` coefficients long.
+
+    The row rule: each trip takes the pending condition whose row is
+    largest in the first lowest column by |re| + |im| (the BLAS ``izamax``
+    measure), the first such row on ties.  The rows are scaled to unit
+    starting magnitude, so the ranking compares conditions, not their
+    weights' scales.  A row is retired, zeroed, once its condition is
+    absorbed or deferred.  When the entry found is exactly zero, no pending
+    condition sees the column, and the first pending condition goes next;
+    so it does when the search returns a retired row, as a NaN can make it.
 
     A condition without an admissible pivot raises, or with ``defer`` is
     deferred.  The pivot comes from one scan of the lowest columns,
@@ -290,28 +305,35 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     The condition value ``phi`` is the condition's residual row in the
     store, which every absorbed condition has updated along with the
     basis; nothing is evaluated per condition.  A row that has fallen to
-    ``_ROW_FLOOR`` of its starting magnitude is annihilated: its condition
-    already holds to rounding, and has no pivot.  The degree ledger is a
-    list of ints, written back into ``col_degrees`` in place when the
-    sweep ends or raises.
+    ``_ROW_FLOOR`` is annihilated: its condition already holds to
+    rounding, and has no pivot.  The degree ledger is a list of ints,
+    written back into ``col_degrees`` in place when the sweep ends or
+    raises.
     """
     ws = _Workspace(nodes, weights)
-    floors = (_ROW_FLOOR * np.abs(weights).max(axis=1)).tolist()
     points = nodes.tolist()
+    count = len(points)
+    pending = [True] * count
     cd = col_degrees.tolist()
     p = len(cd)
     deferred = []
     try:
-        for t in range(len(points)):
+        for _ in range(count):
+            low = min(cd)
+            c = cd.index(low)
+            t = _izamax(ws.cols[c], count)
             phi = ws.store[t]
             mags = np.abs(phi).tolist()
+            if not (pending[t] and mags[c]):
+                t = pending.index(True)
+                phi = ws.store[t]
+                mags = np.abs(phi).tolist()
+            pending[t] = False
             amax = max(mags)
-            small = amax <= floors[t]
+            small = amax <= _ROW_FLOOR
             if not small:
-                low = min(cd)
-                j = cd.index(low)
-                top = mags[j]
-                for i in range(j + 1, p):
+                j, top = c, mags[c]
+                for i in range(c + 1, p):
                     if cd[i] == low and mags[i] > top:
                         j, top = i, mags[i]
                 pj = phi[j]
@@ -322,12 +344,14 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
                         "pivot underflow while absorbing an interpolation condition"
                     )
                 deferred.append(refs[t])
+                phi.fill(0.0)
                 continue
             # -phi / phi[j] bit for bit wherever phi is nonzero, as complex
             # division is symmetric in sign, with one scalar negation in
             # place of a row's; an exact zero may take the other sign.
             mu = np.divide(phi, -pj)
             mu[j] = 0.0
+            phi.fill(0.0)
             ws.step(j, points[t], mu)
             cd[j] += 1
     finally:
@@ -336,44 +360,24 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     return ws.view(), factor, deferred
 
 
-def _stride_order(count: int, bump: int = 0) -> np.ndarray:
+def _stride_order(count: int) -> np.ndarray:
     """Low-discrepancy ordering of range(count): i -> i*s mod count with a
     coprime stride s near the golden fraction of count.
 
-    Serial sweeps absorb nodes in this order for two reasons.  Every prefix
-    of the sequence is nearly equidistributed (three-distance theorem), so
-    the working basis never develops the exponential ill-conditioning that
-    consuming an arc of adjacent nodes causes.  And unlike an even-odd
-    decimation, consecutive entries cycle through all residue classes, so
-    weight rows that nearly repeat on a subgrid (constant-modulus alignment
-    spectra take few values on cosets) never arrive in long same-class runs
-    while the basis is still too low-degree to tell them apart.
-
-    A ``bump`` starts the coprime search that far past the golden stride;
-    the leaf retries use it for one nearby alternative order.
+    The cleanup composes its batches in this order.  Every prefix of the
+    sequence is nearly equidistributed (three-distance theorem), and unlike
+    an even-odd decimation consecutive entries cycle through all residue
+    classes, so a batch spreads over the deferred nodes instead of taking
+    an arc of adjacent ones.  Batches of sorted refs leave some batch
+    without an admissible pivot: every rect problem of perfbench seeds 1
+    and 2 then raises ``SingularSystemError``.
     """
     if count <= 2:
         return np.arange(count)
-    s = int(round(0.6180339887498949 * count)) + bump
+    s = int(round(0.6180339887498949 * count))
     while math.gcd(s, count) != 1:
         s += 1
     return (np.arange(count) * s) % count
-
-
-# A leaf basis whose residual on the leaf's own conditions exceeds this
-# (relative to the incoming weight scale) triggers a retry; healthy leaves
-# sit two orders below it.
-_LEAF_CHECK_TOL = 1e-11
-
-
-def _leaf_orders(count: int):
-    """The default absorption order, then fallbacks for a failed self-check:
-    one nearby coprime stride and the reversed default sweep."""
-    yield _stride_order(count)
-    if count <= 2:
-        return
-    yield _stride_order(count, 2)
-    yield _stride_order(count)[::-1]
 
 
 def _flatten(weights, nodes, order):
@@ -457,60 +461,16 @@ class _Engine:
         return [(0, 1)] if stride == 2 else [(o, stride), (o + 1, stride)]
 
     def _serial_leaf(self, o, stride) -> MatrixPoly:
-        """Absorb one leaf's conditions, retrying under alternative orders.
-
-        The per-step pivot rule only sees conditions already absorbed, so a
-        leaf can commit to a pivot that a later condition of the same leaf
-        exposes as poor, and no downstream stage can repair a leaf basis.
-        The basis is therefore checked against the leaf's own conditions and
-        the sweep rerun under a different absorption order when the check
-        fails.  The check evaluates the basis on the leaf's cosets as a
-        weight update does and asks that the leaf's weights, premultiplied
-        by it, vanish.  The pivot rule, threshold, and deferral policy are
-        identical in every attempt; only the condition order changes.
-        Conditions the attempt deferred belong to the cleanup pass and are
-        left out of its check.  A NaN residual, as an overflowed attempt
-        gives, ranks below every finite one.
-        """
-        cosets = self._cosets(o, stride)
-        parts = [np.arange(c, self.order, s) for c, s in cosets]
-        idx = np.sort(np.concatenate(parts))
-        w_in = [self.weights[:, part] for part in parts]
-        scale = max(float(np.abs(w).max()) for w in w_in)
-        best = None
-        for attempt, perm in enumerate(_leaf_orders(len(idx))):
-            nodes, sub, refs = _flatten(self.weights, self.nodes, idx[perm])
-            cd = self.col_degrees.copy()
-            coeffs, factor, deferred = _serial_core(nodes, sub, refs, cd,
-                                                    _PIVOT_THRESHOLD, True)
-            res = self._leaf_residual(coeffs, cosets, w_in, deferred, scale)
-            if math.isnan(res):
-                res = math.inf
-            if best is None or res < best[0]:
-                best = (res, coeffs, cd, deferred, factor)
-            if best[0] <= _LEAF_CHECK_TOL:
-                break
-        _, coeffs, cd, deferred, factor = best
-        self.diag.leaf_retries += attempt
-        self.col_degrees[:] = cd
+        """Absorb one leaf's conditions, node indices in natural order, in
+        one sweep; the sweep chooses its own order."""
+        idx = np.sort(np.concatenate([np.arange(c, self.order, s)
+                                      for c, s in self._cosets(o, stride)]))
+        nodes, sub, refs = _flatten(self.weights, self.nodes, idx)
+        coeffs, factor, deferred = _serial_core(nodes, sub, refs, self.col_degrees,
+                                                _PIVOT_THRESHOLD, True)
         self.deferred.extend(deferred)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return MatrixPoly(coeffs)
-
-    def _leaf_residual(self, coeffs, cosets, w_in, deferred, scale) -> float:
-        """Worst of the leaf's weights ``w_in`` (one array per coset),
-        premultiplied by the leaf basis, relative to ``scale``; the rows of
-        the ``deferred`` refs are left out.  A NaN anywhere gives NaN."""
-        if scale == 0.0:
-            return 0.0
-        worst = []
-        for (c, s), w in zip(cosets, w_in):
-            res = self._premultiplied(w, coeffs, c, s)
-            for k, row in deferred:
-                if (k - c) % s == 0:
-                    res[row, (k - c) // s] = 0.0
-            worst.append(np.abs(res).max())
-        return float(np.max(worst)) / scale
 
     # -- deferred conditions -----------------------------------------------
 

@@ -9,9 +9,11 @@ serial sweep at the end is the reference semantics for the library's: a
 (p, p, capacity) coefficient cube stepped by NumPy broadcasting, with NumPy
 bookkeeping and every condition evaluated afresh against the current basis,
 where the library builds one column-major store per sweep, stepped by BLAS,
-and carries each condition as an updated residual row.  The two take the
-same decisions, and their coefficients agree to rounding.  Only the
-reference can start from a given basis, as the full-basis cleanup does.
+and carries each condition as an updated residual row.  Both choose the
+next condition by the same row rule, the reference on fresh values.  The
+two take the same decisions, and their coefficients agree to rounding.
+Only the reference can start from a given basis, as the full-basis cleanup
+does.
 The order-basis check at the end needs no second sweep: it asks of a
 sweep's basis what makes it one, that its absorbed conditions hold, that
 its degree ledger counts them and that its entries end at their shifted
@@ -214,19 +216,23 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
 
 
 def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
-    """Reference for ``_Engine._cleanup``: every deferred condition, in the
-    same stride order, is stepped one at a time into the full-length final
-    basis by the cube reference.  Costs O(deferred x basis length); patch it
-    over the engine's method to compare the batched pass against it."""
+    """Reference for ``_Engine._cleanup``: the same batches, each stepped
+    one condition at a time into the full-length basis by the cube
+    reference, which pivots within the batch.  Costs O(deferred x basis
+    length); patch it over the engine's method to compare the batched pass
+    against it."""
     if not engine.deferred:
         return basis
-    refs = sorted(engine.deferred)
-    refs = [refs[i] for i in tanint._stride_order(len(refs))]
-    index, row = np.array(refs).T
-    coeffs, factor, _ = reference_serial_core(
-        engine.nodes[index], engine.pristine[row, index], refs,
-        engine.col_degrees, 1e-13, False, basis=basis.coeffs)
-    engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
+    points = sorted(engine.deferred)
+    points = [points[i] for i in tanint._stride_order(len(points))]
+    coeffs = basis.coeffs
+    for start in range(0, len(points), engine.n_lim):
+        refs = points[start:start + engine.n_lim]
+        index, row = np.array(refs).T
+        coeffs, factor, _ = reference_serial_core(
+            engine.nodes[index], engine.pristine[row, index], refs,
+            engine.col_degrees, 1e-13, False, basis=coeffs)
+        engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
     return MatrixPoly(coeffs)
 
 
@@ -258,11 +264,10 @@ def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
 # -- the one-pass serial driver ----------------------------------------------
 
 
-def stride_conditions(system: AssembledSystem):
+def all_conditions(system: AssembledSystem):
     """All conditions of a system as (nodes, weights, refs), node-major in
-    the stride order one serial sweep over the whole system takes."""
-    return tanint._flatten(system.weights, system.nodes,
-                           tanint._stride_order(system.order))
+    natural order, as a root leaf takes them."""
+    return tanint._flatten(system.weights, system.nodes, np.arange(system.order))
 
 
 def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
@@ -327,25 +332,43 @@ class CubeWorkspace:
 
 def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
                           defer, basis=None):
-    """``tanint._serial_core`` on a ``CubeWorkspace``, with the pivot choice
-    and the degree ledger on NumPy arrays and every condition evaluated
-    afresh.  Same call shape and returns, so it can be patched over the
-    module's sweep; the library's sweep must take the same decisions.
+    """``tanint._serial_core`` on a ``CubeWorkspace``, with the row search,
+    the pivot choice and the degree ledger on NumPy arrays and every
+    condition evaluated afresh.  Same call shape and returns, so it can be
+    patched over the module's sweep; the library's sweep must take the
+    same decisions.
 
     The sweep starts from the identity, or from the (p, p, length)
-    ``basis`` given.  A condition is annihilated when its value has fallen
-    to ``_ROW_FLOOR`` of its value against that starting basis."""
-    p = weights.shape[1]
-    ws = CubeWorkspace(p, len(nodes) + (1 if basis is None else basis.shape[2]),
+    ``basis`` given.  Each condition is scaled by the largest magnitude of
+    its value against that starting basis, and is annihilated when its
+    scaled value has fallen to ``_ROW_FLOOR``.  Each trip evaluates the
+    first lowest column at every pending condition and takes the first
+    largest in |re| + |im|, or the first pending condition when that is
+    zero; only the chosen condition is evaluated in full."""
+    nodes = np.asarray(nodes)
+    count, p = weights.shape
+    ws = CubeWorkspace(p, count + (1 if basis is None else basis.shape[2]),
                        basis)
-    floors = [tanint._ROW_FLOOR * np.abs(ws.value(node, w)).max()
-              for node, w in zip(nodes, weights)]
+    start = np.array([ws.value(node, w) for node, w in zip(nodes, weights)])
+    scale = np.abs(start.reshape(count, p)).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    weights = weights / scale[:, None]
+    powers = nodes[None, :] ** np.arange(ws.c.shape[2])[:, None]
+    pending = np.ones(count, dtype=bool)
     deferred = []
-    for t in range(len(nodes)):
+    for _ in range(count):
+        c = int(np.argmin(col_degrees))
+        column = ws.c[:, c, :ws.length] @ powers[:ws.length]
+        values = np.einsum("ti,it->t", weights, column)
+        rank = np.where(pending, np.abs(values.real) + np.abs(values.imag), 0.0)
+        t = int(np.argmax(rank))
+        if rank[t] == 0.0:
+            t = int(np.argmax(pending))
+        pending[t] = False
         node = nodes[t]
         phi = ws.value(node, weights[t])
         amax = np.abs(phi).max()
-        small = amax <= floors[t]
+        small = amax <= tanint._ROW_FLOOR
         if not small:
             cands = np.flatnonzero(col_degrees == col_degrees.min())
             j = int(cands[np.argmax(np.abs(phi[cands]))])

