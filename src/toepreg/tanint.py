@@ -49,8 +49,8 @@ column-normalized, and the store does not outlive it.
 Since every pending condition's current value sits in its row, the sweep
 chooses the next condition as partial pivoting chooses a row of a
 displacement-structured matrix (Gohberg, Kailath and Olshevsky, Math.
-Comp. 1995), with one BLAS ``izamax`` over the rows, so it needs no fixed
-order and no second look at its finished basis.  An updated row carries
+Comp. 1995), by the modulus of the rows in one column, so it needs no
+fixed order and no second look at its finished basis.  An updated row carries
 the rounding of every update since its start, uncorrected within the
 sweep: the sweep takes the decisions of a NumPy loop that re-evaluates a
 (p, p, length) coefficient cube at each node, and its coefficients agree
@@ -85,7 +85,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft as _sfft
-from scipy.linalg.blas import izamax as _izamax
 from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
@@ -108,6 +107,9 @@ _STORE_MIN_ROWS = 64
 # A residual row, scaled to unit starting magnitude, that falls to this is
 # annihilated: rounding noise, not a condition value (see ``_serial_core``).
 _ROW_FLOOR = 1e-14
+
+# Rows within this factor of the largest in a column tie (``_serial_core``).
+_ROW_TIE = 1.0 - 1e-8
 
 
 class SingularSystemError(RuntimeError):
@@ -140,7 +142,8 @@ class _Workspace:
     basis B, divided by the largest magnitude of ``weights[t]`` (an
     all-zero row stays zero) so that rows of different conditions compare,
     and the update that mixes the basis columns mixes every condition's
-    value with them.  ``cols`` views each store column, for the row search.
+    value with them.  ``cols`` views each store column's ``count`` residual
+    rows, for the row search.
 
     ``lens`` is a list of ints, ``lens[j]`` the coefficient length of
     column j: every coefficient row of that column at or past
@@ -162,7 +165,8 @@ class _Workspace:
     not depend on when the store grew.
     """
 
-    __slots__ = ("store", "cols", "lens", "length", "cap", "res", "res_nodes")
+    __slots__ = ("store", "cols", "count", "lens", "length", "cap", "res",
+                 "res_nodes")
 
     def __init__(self, nodes, weights):
         count, p = weights.shape
@@ -170,6 +174,7 @@ class _Workspace:
         self.store = np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
                               order="F")
         self.res = res
+        self.count = count
         self._fit(1)
         scale = np.abs(weights).max(axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
@@ -193,7 +198,7 @@ class _Workspace:
             grown[:rows] = self.store
             self.store = grown
         self.cap = have // p
-        self.cols = [self.store[:, k] for k in range(p)]
+        self.cols = [self.store[:self.count, k] for k in range(p)]
 
     def step(self, j: int, node: complex, mu: np.ndarray):
         """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
@@ -282,14 +287,16 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     Each absorbed condition lengthens one column by one, from 1, so the
     basis is at most ``len(nodes) + 1`` coefficients long.
 
-    The row rule: each trip takes the pending condition whose row is
-    largest in the first lowest column by |re| + |im| (the BLAS ``izamax``
-    measure), the first such row on ties.  The rows are scaled to unit
-    starting magnitude, so the ranking compares conditions, not their
-    weights' scales.  A row is retired, zeroed, once its condition is
-    absorbed or deferred.  When the entry found is exactly zero, no pending
-    condition sees the column, and the first pending condition goes next;
-    so it does when the search returns a retired row, as a NaN can make it.
+    The row rule: each trip takes the first pending condition whose row's
+    modulus in the first lowest column is at least ``_ROW_TIE`` times the
+    largest.  Rows at conjugate nodes start with equal moduli, which the
+    updates leave ulps apart either way; the window ranks them alike
+    however the rows were computed.  The rows are scaled to unit starting
+    magnitude, so the ranking compares conditions, not their weights'
+    scales.  A row is retired, zeroed, once its condition is absorbed or
+    deferred.  When the entry found is exactly zero, no pending condition
+    sees the column, and the first pending condition goes next; so it does
+    when the search returns a retired row, as a NaN can make it.
 
     A condition without an admissible pivot raises, or with ``defer`` is
     deferred.  The pivot comes from one scan of the lowest columns,
@@ -321,7 +328,8 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
         for _ in range(count):
             low = min(cd)
             c = cd.index(low)
-            t = _izamax(ws.cols[c], count)
+            mod = np.abs(ws.cols[c])
+            t = int((mod >= mod[mod.argmax()] * _ROW_TIE).argmax())
             phi = ws.store[t]
             mags = np.abs(phi).tolist()
             if not (pending[t] and mags[c]):

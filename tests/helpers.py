@@ -343,8 +343,9 @@ def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
     its value against that starting basis, and is annihilated when its
     scaled value has fallen to ``_ROW_FLOOR``.  Each trip evaluates the
     first lowest column at every pending condition and takes the first
-    largest in |re| + |im|, or the first pending condition when that is
-    zero; only the chosen condition is evaluated in full."""
+    whose modulus is at least ``_ROW_TIE`` times the largest, or the first
+    pending condition when the largest is zero; only the chosen condition
+    is evaluated in full."""
     nodes = np.asarray(nodes)
     count, p = weights.shape
     ws = CubeWorkspace(p, count + (1 if basis is None else basis.shape[2]),
@@ -360,8 +361,8 @@ def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
         c = int(np.argmin(col_degrees))
         column = ws.c[:, c, :ws.length] @ powers[:ws.length]
         values = np.einsum("ti,it->t", weights, column)
-        rank = np.where(pending, np.abs(values.real) + np.abs(values.imag), 0.0)
-        t = int(np.argmax(rank))
+        rank = np.where(pending, np.abs(values), 0.0)
+        t = int(np.argmax(rank >= rank.max() * tanint._ROW_TIE))
         if rank[t] == 0.0:
             t = int(np.argmax(pending))
         pending[t] = False
