@@ -23,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft as _sfft
 
 __all__ = [
     "next_fast_len",
@@ -161,11 +160,11 @@ def _split_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
         (sa, ea), (sb, eb) = _split(ca, bits), _split(cb, bits)
         # The three matmuls below save more on contiguous (r, p, p) stacks
         # than the copies cost.
-        fa = np.ascontiguousarray(np.moveaxis(_sfft.fft(sa, r, axis=-1), -1, 1))
-        fb = np.ascontiguousarray(np.moveaxis(_sfft.fft(sb, r, axis=-1), -1, 1))
+        fa = np.ascontiguousarray(np.moveaxis(np.fft.fft(sa, r, axis=-1), -1, 1))
+        fb = np.ascontiguousarray(np.moveaxis(np.fft.fft(sb, r, axis=-1), -1, 1))
         high = fa[0] @ fb[0]
         cross = (fa[0] + fa[1]) @ fb[1] + fa[1] @ fb[0]
-        res = _sfft.ifft(np.moveaxis(np.stack((high, cross)), 1, -1), axis=-1)
+        res = np.fft.ifft(np.moveaxis(np.stack((high, cross)), 1, -1), axis=-1)
         res = np.ascontiguousarray(res[..., :out]).view(np.float64)
         whole = np.rint(res[0])
         miss = np.abs(res[0] - whole).max()

@@ -19,11 +19,12 @@ condition raises exactly one column's shifted degree by one, and the pivot
 always comes from the currently lowest columns, which is what keeps the
 basis reduced throughout.
 
-The serial sweep keeps the working basis in a column-major store: one
-Fortran-ordered array whose column k lists entry (i, k)'s z^l coefficient
-at row l*p + i of its coefficient block, so a basis column is one
-contiguous vector.  The store tracks each column's coefficient length; its
-``length`` is the largest of them.  An absorbed condition lengthens its
+The serial sweep is one function, ``_serial_core``, whose state lives in
+its local variables.  It keeps the working basis in a column-major store:
+one Fortran-ordered array whose column k lists entry (i, k)'s z^l
+coefficient at row l*p + i of its coefficient block, so a basis column is
+one contiguous vector.  The sweep tracks each column's coefficient length;
+the basis length is the largest of them.  An absorbed condition lengthens its
 pivot column by one and no column past that, so a leaf of K conditions
 over p columns returns a basis about K/(p-1) + 1 coefficients long, not
 K + 1, and every evaluation and combine product downstream works on that
@@ -84,7 +85,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.fft as _sfft
 from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
@@ -101,7 +101,7 @@ __all__ = [
 # condition; the cleanup pass accepts pivots down to 1e-13.
 _PIVOT_THRESHOLD = 1e-8
 
-# Smallest leaf store, in rows; a power of two (see ``_Workspace``).
+# Smallest leaf store, in rows; a power of two (see ``_serial_core``).
 _STORE_MIN_ROWS = 64
 
 # A residual row, scaled to unit starting magnitude, that falls to this is
@@ -127,127 +127,19 @@ class TanIntDiagnostics:
         return asdict(self)
 
 
-class _Workspace:
-    """Column-major store of one sweep's working basis, built from the
-    sweep's conditions ``(nodes, weights)`` with the identity as its basis.
-
-    ``store`` is a Fortran-ordered (rows, p) array: column k holds the z^l
-    coefficient of entry (i, k) at row ``res + l * p + i``, so one basis
-    column is one contiguous vector and absorbing a condition is one BLAS
-    rank-one update over the store.  Coefficient rows past the basis length
-    are exactly zero.
-
-    The store's top ``res`` rows are residual rows, one per condition of
-    the sweep: row t holds ``weights[t] . B(nodes[t])`` for the current
-    basis B, divided by the largest magnitude of ``weights[t]`` (an
-    all-zero row stays zero) so that rows of different conditions compare,
-    and the update that mixes the basis columns mixes every condition's
-    value with them.  ``cols`` views each store column's ``count`` residual
-    rows, for the row search.
-
-    ``lens`` is a list of ints, ``lens[j]`` the coefficient length of
-    column j: every coefficient row of that column at or past
-    ``lens[j] * p`` is exactly zero.  ``length``, an int, is the largest
-    of them, the true length of the basis, and every read stays inside
-    it.  Absorbing a condition lengthens the pivot column by one and
-    brings the columns mixed with it up to the pivot's old length, so the
-    basis grows with its degree, not with the number of conditions.
-
-    The coefficient block holds a power-of-two number of rows, at least
-    ``_STORE_MIN_ROWS``, and doubles as the basis grows, copying its rows
-    exactly, so the update's work tracks the basis length and a leaf's
-    store stays below OpenBLAS's threading size.  ``cap``, the number of
-    coefficients the block holds, is tracked as the block grows, not
-    recomputed per step, and a step calls ``_fit`` only when the pivot
-    column would outgrow it.  The residual block is padded to a multiple
-    of ``_STORE_MIN_ROWS``.  Both keep the BLAS kernel's blocked and tail
-    loops on the same rows whatever the store size, so a sweep's bits do
-    not depend on when the store grew.
-    """
-
-    __slots__ = ("store", "cols", "count", "lens", "length", "cap", "res",
-                 "res_nodes")
-
-    def __init__(self, nodes, weights):
-        count, p = weights.shape
-        res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
-        self.store = np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
-                              order="F")
-        self.res = res
-        self.count = count
-        self._fit(1)
-        scale = np.abs(weights).max(axis=1, initial=0.0)
-        scale[scale == 0.0] = 1.0
-        np.divide(weights, scale[:, None], out=self.store[:count])
-        self.store[res:res + p] = np.eye(p)
-        self.res_nodes = np.zeros(res, dtype=np.complex128)
-        self.res_nodes[:count] = nodes
-        self.lens = [1] * p
-        self.length = 1
-
-    def _fit(self, length: int):
-        """Grow the coefficient block, copying the store's rows exactly,
-        until it holds ``length`` coefficients; ``cap`` is what it holds."""
-        rows, p = self.store.shape
-        have = rows - self.res
-        if have < length * p:
-            while have < length * p:
-                have *= 2
-            grown = np.zeros((self.res + have, p), dtype=np.complex128,
-                             order="F")
-            grown[:rows] = self.store
-            self.store = grown
-        self.cap = have // p
-        self.cols = [self.store[:self.count, k] for k in range(p)]
-
-    def step(self, j: int, node: complex, mu: np.ndarray):
-        """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node).
-
-        The mix is one ``zgeru`` over the whole store with alpha = 1, which
-        must update the store in place.  With alpha = 1 every product is
-        mu_i * head_l, so OpenBLAS's threaded path for large stores gives
-        the same bits as its serial one.  The pivot column's coefficients
-        shift by (z - node), and its residual entries are multiplied by
-        (nodes - node), both written into the column with no temporary;
-        the shift keeps ``-node`` as its first operand, because NumPy's
-        vectorized complex multiply rounds ``head * -node`` apart from it.
-        Column lengths are raised on Python scalars: each column mixed with
-        the pivot (mu_i != 0) reaches the pivot's old length, the pivot one
-        more, and ``length`` follows the pivot."""
-        lens = self.lens
-        lj = lens[j]
-        p = len(lens)
-        if lj >= self.cap:
-            self._fit(lj + 1)
-        store = self.store
-        head = store[:, j].copy()
-        if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
-            raise RuntimeError("rank-one update did not write the store in place")
-        res = self.res
-        end = res + lj * p
-        col = store[:, j]
-        np.multiply(-node, head[res:end], out=col[res:end])
-        col[res + p:end + p] += head[res:end]
-        np.multiply(head[:res], self.res_nodes - node, out=col[:res])
-        for i, m in enumerate(mu.tolist()):
-            if m and lens[i] < lj:
-                lens[i] = lj
-        lens[j] = lj + 1
-        if lj >= self.length:
-            self.length = lj + 1
-
-    def normalize(self) -> float:
-        return _normalize_columns(self._cube())
-
-    def _cube(self) -> np.ndarray:
-        """The basis as a (p, p, length) view into the store."""
-        p = len(self.lens)
-        rows = self.store[self.res:self.res + self.length * p]
-        rows = rows.reshape(p, self.length, p, order="F")
-        return rows.transpose(0, 2, 1)
-
-    def view(self) -> np.ndarray:
-        return self._cube().copy()
+def _grown(store, res: int, length: int) -> np.ndarray:
+    """``store``, or when its coefficient block below the ``res`` residual
+    rows holds fewer than ``length`` coefficients, a store whose block has
+    doubled until it does, with every row of ``store`` copied exactly."""
+    rows, p = store.shape
+    have = rows - res
+    if have >= length * p:
+        return store
+    while have < length * p:
+        have *= 2
+    grown = np.zeros((res + have, p), dtype=np.complex128, order="F")
+    grown[:rows] = store
+    return grown
 
 
 def _normalize_columns(coeffs) -> float:
@@ -263,7 +155,7 @@ def _normalize_columns(coeffs) -> float:
 def _transform(coeffs, length: int) -> np.ndarray:
     """A (p, p, L) coefficient array's transform at ``next_fast_len(length)``
     points, node-major: (points, p, p)."""
-    return _sfft.fft(coeffs.transpose(2, 0, 1), next_fast_len(length), axis=0)
+    return np.fft.fft(coeffs.transpose(2, 0, 1), next_fast_len(length), axis=0)
 
 
 def _column_peaks(left_hat, coeffs) -> np.ndarray:
@@ -272,20 +164,61 @@ def _column_peaks(left_hat, coeffs) -> np.ndarray:
     transform must be at least the product's length.  All-zero columns give
     1, as in ``_normalize_columns``."""
     right_hat = _transform(coeffs, len(left_hat))
-    prod = _sfft.ifft(left_hat @ right_hat, axis=0, overwrite_x=True)
+    prod = np.fft.ifft(left_hat @ right_hat, axis=0)
     peaks = np.abs(prod).max(axis=(0, 1))
     return np.where(peaks > 0.0, peaks, 1.0)
 
 
 def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     """One sweep: absorb the given conditions, in the order it chooses,
-    into a fresh workspace that starts from the identity.
+    into a fresh store that starts from the identity.
 
     Returns (coeffs, factor, deferred): the column-normalized basis as a
     (p, p, length) array, the divisor of its largest column (at least 1)
     and the refs of the deferred conditions.
     Each absorbed condition lengthens one column by one, from 1, so the
     basis is at most ``len(nodes) + 1`` coefficients long.
+
+    The store is a Fortran-ordered (rows, p) array.  Its top ``res`` rows
+    are residual rows, one per condition, padded with zero rows to a
+    multiple of ``_STORE_MIN_ROWS``: row t holds ``weights[t] . B(nodes[t])``
+    for the current basis B, divided by the largest magnitude of
+    ``weights[t]`` (an all-zero row stays zero) so that rows of different
+    conditions compare.  Below them, column k holds the z^l coefficient of
+    entry (i, k) at row ``res + l * p + i``, so one basis column is one
+    contiguous vector, and absorbing a condition is one BLAS rank-one
+    update that mixes the basis columns and every condition's value with
+    them.  ``cols`` views each store column's residual rows, for the row
+    search.  The store does not outlive the sweep: the basis is read from
+    it once, when the sweep ends.
+
+    ``lens[j]``, an int, is the coefficient length of column j: every
+    coefficient row of that column at or past ``lens[j] * p`` is exactly
+    zero.  ``length`` is the largest of them, the true length of the
+    basis, and every read stays inside it.  Absorbing a condition
+    lengthens the pivot column by one and brings each column mixed with it
+    (mu_i != 0) up to the pivot's old length; a column mixed with mu_i = 0
+    keeps its length.  So the basis grows with its degree, not with the
+    number of conditions.
+
+    The coefficient block holds a power-of-two number of rows, at least
+    ``_STORE_MIN_ROWS``, and ``_grown`` doubles it, copying its rows
+    exactly, only when the pivot column would outgrow ``cap``, the number
+    of coefficients it holds; so the update's work tracks the basis length
+    and a leaf's store stays below OpenBLAS's threading size.  The padding
+    of both blocks keeps the BLAS kernel's blocked and tail loops on the
+    same rows whatever the store size, so a sweep's bits do not depend on
+    when the store grew.
+
+    A trip's update is one ``zgeru`` over the whole store with alpha = 1,
+    which must update the store in place, or the sweep raises
+    ``RuntimeError``.  With alpha = 1 every product is mu_i * head_l, so
+    OpenBLAS's threaded path for large stores gives the same bits as its
+    serial one.  The pivot column's coefficients then shift by (z - node),
+    and its residual entries are multiplied by (nodes - node), both
+    written into the column with no temporary; the shift keeps ``-node``
+    as its first operand, because NumPy's vectorized complex multiply
+    rounds ``head * -node`` apart from it.
 
     The row rule: each trip takes the first pending condition whose row's
     modulus in the first lowest column is at least ``_ROW_TIE`` times the
@@ -317,24 +250,35 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     written back into ``col_degrees`` in place when the sweep ends or
     raises.
     """
-    ws = _Workspace(nodes, weights)
+    count, p = weights.shape
+    res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+    store = _grown(np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
+                            order="F"), res, 1)
+    scale = np.abs(weights).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    np.divide(weights, scale[:, None], out=store[:count])
+    store[res:res + p] = np.eye(p)
+    res_nodes = np.zeros(res, dtype=np.complex128)
+    res_nodes[:count] = nodes
+    cap = (store.shape[0] - res) // p
+    cols = [store[:count, k] for k in range(p)]
+    lens = [1] * p
+    length = 1
     points = nodes.tolist()
-    count = len(points)
     pending = [True] * count
     cd = col_degrees.tolist()
-    p = len(cd)
     deferred = []
     try:
         for _ in range(count):
             low = min(cd)
             c = cd.index(low)
-            mod = np.abs(ws.cols[c])
+            mod = np.abs(cols[c])
             t = int((mod >= mod[mod.argmax()] * _ROW_TIE).argmax())
-            phi = ws.store[t]
+            phi = store[t]
             mags = np.abs(phi).tolist()
             if not (pending[t] and mags[c]):
                 t = pending.index(True)
-                phi = ws.store[t]
+                phi = store[t]
                 mags = np.abs(phi).tolist()
             pending[t] = False
             amax = max(mags)
@@ -360,12 +304,33 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
             mu = np.divide(phi, -pj)
             mu[j] = 0.0
             phi.fill(0.0)
-            ws.step(j, points[t], mu)
+            lj = lens[j]
+            if lj >= cap:
+                store = _grown(store, res, lj + 1)
+                cap = (store.shape[0] - res) // p
+                cols = [store[:count, k] for k in range(p)]
+            head = store[:, j].copy()
+            if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
+                raise RuntimeError("rank-one update did not write the store in place")
+            end = res + lj * p
+            col = store[:, j]
+            node = points[t]
+            np.multiply(-node, head[res:end], out=col[res:end])
+            col[res + p:end + p] += head[res:end]
+            np.multiply(head[:res], res_nodes - node, out=col[:res])
+            for i, m in enumerate(mu.tolist()):
+                if m and lens[i] < lj:
+                    lens[i] = lj
+            lens[j] = lj + 1
+            if lj >= length:
+                length = lj + 1
             cd[j] += 1
     finally:
         col_degrees[:] = cd
-    factor = ws.normalize()
-    return ws.view(), factor, deferred
+    basis = store[res:res + length * p].reshape(p, length, p, order="F")
+    basis = basis.transpose(0, 2, 1)
+    factor = _normalize_columns(basis)
+    return basis.copy(), factor, deferred
 
 
 def _stride_order(count: int) -> np.ndarray:

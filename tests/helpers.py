@@ -290,10 +290,11 @@ def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
 class CubeWorkspace:
     """The leaf workspace as a (p, p, capacity) coefficient cube: entry
     (i, k)'s z^l coefficient sits at ``c[i, k, l]``, and a step is one
-    NumPy broadcast over the cube.  It has the ``step``, ``normalize`` and
-    ``view`` of ``tanint._Workspace``, whose store it is the reference for,
-    evaluates the basis afresh with ``value``, and can start from a given
-    basis, every column at its full length."""
+    NumPy broadcast over the cube.  Its ``step``, ``normalize`` and ``view``
+    do what ``tanint._serial_core`` does to the basis block of its store,
+    for which it is the reference; it evaluates the basis afresh with
+    ``value``, and can start from a given basis, every column at its full
+    length."""
 
     def __init__(self, p, capacity, coeffs=None):
         self.c = np.zeros((p, p, capacity), dtype=np.complex128)

@@ -145,15 +145,34 @@ def test_single_point_basis_underflow():
         single_point_basis([0.0, 0.0], 1.0, [0, 0])
 
 
-# ------------------------------------------------------------ workspace
+# ------------------------------------------------------------ store
 
-def _bare_workspace(p):
-    """A workspace over p columns holding the identity and no conditions."""
-    return tanint._Workspace(np.empty(0), np.empty((0, p)))
+def _log_trips(patch, count):
+    """Log, through ``patch``, every trip of the next library sweep over
+    ``count`` conditions, none of them all-zero, as its rank-one update
+    sees it; the sweep must defer none.  A trip is (t, j, mu, block): the
+    condition absorbed, the one residual row zeroed since the last trip;
+    the pivot column, the store column the update's ``head`` copies; the
+    mixing vector; and a copy of the store's coefficient block before the
+    update, which holds the basis the earlier trips left."""
+    trips, zgeru = [], tanint._zgeru
+    res = -(-count // tanint._STORE_MIN_ROWS) * tanint._STORE_MIN_ROWS
+
+    def logged(alpha, head, mu, a, overwrite_a):
+        taken = {trip[0] for trip in trips}
+        zeroed = [t for t in np.flatnonzero(~a[:count].any(axis=1))
+                  if t not in taken]
+        pivot = [k for k in range(a.shape[1]) if _same_bits(a[:, k], head)]
+        assert len(zeroed) == 1 and len(pivot) == 1
+        trips.append((int(zeroed[0]), pivot[0], mu.copy(), a[res:].copy()))
+        return zgeru(alpha, head, mu, a=a, overwrite_a=overwrite_a)
+
+    patch.setattr(tanint, "_zgeru", logged)
+    return trips
 
 
 def _full_cube_step(c, j, node, mu):
-    """The workspace update applied to every slot of the cube."""
+    """The sweep's update applied to every slot of the cube."""
     head = c[:, j, :].copy()
     assert not head[:, -1].any()
     c += mu[None, :, None] * head[:, None, :]
@@ -181,42 +200,60 @@ def _ulp_perturbed(a, seed=79):
     return a * (1.0 + 2.0**-52 * np.exp(2j * np.pi * rng.uniform(size=a.shape)))
 
 
-def _assert_true_lengths(ws, ref):
-    p = len(ws.lens)
-    for j in range(p):
-        assert not ws.store[ws.lens[j] * p:, j].any()
-    assert ws.length == max(ws.lens)
-    assert np.abs(ws.view()[:, :, -1]).max() > 0.0
-    # the whole-cube update's coefficients to rounding, nothing past length
-    _assert_close_by_column(ws.view(), ref[:, :, :ws.length])
-    assert not ref[:, :, ws.length:].any()
+def _assert_true_lengths(basis, lens, ref):
+    """A (p, p, length) basis is as long as its longest column by ``lens``,
+    is exactly zero past each column's length, and holds the whole-cube
+    update's coefficients ``ref`` to rounding, which have nothing past it."""
+    length = basis.shape[2]
+    assert length == max(lens)
+    for k, n in enumerate(lens):
+        assert not basis[:, k, n:].any()
+    assert np.abs(basis[:, :, -1]).max() > 0.0
+    _assert_close_by_column(basis, ref[:, :, :length])
+    assert not ref[:, :, length:].any()
 
 
-def test_workspace_tracks_true_column_lengths():
+def test_sweep_tracks_true_column_lengths(monkeypatch):
+    # Conditions blind to column 2, which starts too high to pivot, mix it
+    # with mu_2 = 0 at every trip, so it keeps length 1.  Columns 1 and 3
+    # start higher than column 0, so they are mixed with longer pivots and
+    # take their lengths before they pivot themselves.  After every trip
+    # the store's coefficients are exactly zero past each column's length
+    # and hold the whole-cube update's to rounding, and the basis, as long
+    # as its longest column, is at most one coefficient longer.
     rng = np.random.default_rng(72)
-    p = 4
-    ref = np.zeros((p, p, 48), dtype=np.complex128)
+    p, count = 4, 24
+    weights = crandn(rng, count, p)
+    weights[:, 2] = 0.0
+    nodes = np.exp(2j * np.pi * rng.uniform(size=count))
+    trips = _log_trips(monkeypatch, count)
+    coeffs, factor, deferred = tanint._serial_core(
+        nodes, weights, _refs(count), np.array([0, 2, 99, 4]), 1e-8, False)
+    assert deferred == [] and len(trips) == count
+    ref = np.zeros((p, p, count + 1), dtype=np.complex128)
     ref[:, :, 0] = np.eye(p)
-    ws = _bare_workspace(p)
-
-    def steps(ws, count):
-        for _ in range(count):
-            j = int(rng.integers(p))
-            node = np.exp(2j * np.pi * rng.uniform())
-            mu = crandn(rng, p)
-            mu[rng.uniform(size=p) < 0.3] = 0.0
-            mu[j] = 0.0
-            ws.step(j, node, mu)
-            _full_cube_step(ref, j, node, mu)
-            _assert_true_lengths(ws, ref)
-
-    steps(ws, 24)
-    assert min(ws.lens) < ws.length
-    # normalizing writes through the store's cube view
+    lens = [1] * p
+    after = [trip[3] for trip in trips[1:]] + [None]
+    for (t, j, mu, _), block in zip(trips, after):
+        _full_cube_step(ref, j, nodes[t], mu)
+        lj, length = lens[j], max(lens)
+        lens = [max(n, lj) if m else n for n, m in zip(lens, mu.tolist())]
+        lens[j] = lj + 1
+        assert max(lens) <= length + 1
+        if block is None:
+            break
+        for k in range(p):
+            assert not block[lens[k] * p:, k].any()
+        length = max(lens)
+        basis = block[:length * p].reshape(p, length, p, order="F")
+        _assert_true_lengths(basis.transpose(0, 2, 1), lens, ref)
+    assert lens[2] == 1 and min(lens) < max(lens)
+    # the sweep returns its basis column-normalized
     colmax = np.abs(ref).max(axis=(0, 2))
-    assert ws.normalize() == pytest.approx(colmax.max(), rel=1e-12)
+    assert factor == pytest.approx(colmax.max(), rel=1e-12)
     ref /= colmax[None, :, None]
-    _assert_true_lengths(ws, ref)
+    _assert_true_lengths(coeffs, lens, ref)
+    assert np.array_equal(coeffs[:, 2, 0], np.eye(p)[2])
 
 
 def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
@@ -227,17 +264,7 @@ def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
     # counts that are not a multiple of the store's rows (as cleanup batches
     # have), pad the residual rows that share the update, and leave equal
     # bits too.
-    built, base = [], tanint._Workspace
-
-    def workspace(presize):
-        class Store(base):
-            def __init__(self, nodes, weights):
-                super().__init__(nodes, weights)
-                if presize:
-                    self._fit(len(nodes) + 1)
-                built.append(self)
-        return Store
-
+    grow = tanint._grown
     system = assemble(random_problem("general", 64, np.random.default_rng(74)))
     for order in (tanint._stride_order(system.order), np.arange(system.order)):
         conditions = tanint._flatten(system.weights, system.nodes, order)
@@ -245,41 +272,67 @@ def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
             nodes, weights, refs = (part[:count] for part in conditions)
             found = []
             for presize in (False, True):
-                monkeypatch.setattr(tanint, "_Workspace", workspace(presize))
+                stores = []
+
+                def grown(store, res, length, presize=presize, count=count):
+                    if presize:
+                        length = max(length, count + 1)
+                    stores.append((res, grow(store, res, length)))
+                    return stores[-1][1]
+
+                monkeypatch.setattr(tanint, "_grown", grown)
                 cd = -system.tau
                 coeffs, factor, _ = tanint._serial_core(nodes, weights, refs,
                                                         cd, 1e-8, True)
-                ws = built.pop()
-                assert ws.res % tanint._STORE_MIN_ROWS == 0 and ws.res >= count
-                rows = ws.store.shape[0] - ws.res
-                assert rows & (rows - 1) == 0 and ws.store.flags.f_contiguous
-                found.append((rows, coeffs, factor, ws.lens, cd))
-            (rows, *grown), (full_rows, *presized) = found
-            assert rows < 2 * ws.length * system.p < full_rows
-            for a, b in zip(grown, presized):
+                res, store = stores[-1]
+                assert res % tanint._STORE_MIN_ROWS == 0 and res >= count
+                rows = store.shape[0] - res
+                assert rows & (rows - 1) == 0 and store.flags.f_contiguous
+                found.append((rows, coeffs, factor, cd))
+            # the pre-sized store never grew again
+            assert len(stores) == 1
+            (rows, *grown_bits), (full_rows, *presized) = found
+            assert rows < 2 * coeffs.shape[2] * system.p < full_rows
+            for a, b in zip(grown_bits, presized):
                 assert _same_bits(a, b)
 
 
-def test_step_raises_on_a_store_it_cannot_update_in_place():
+def test_step_raises_on_a_store_it_cannot_update_in_place(monkeypatch):
     # Handed a C-ordered array, zgeru updates a copy and returns it; the
-    # step raises instead of dropping the update.
-    ws = _bare_workspace(4)
-    ws.store = np.ascontiguousarray(ws.store)
-    before = ws.store.copy()
+    # sweep raises instead of dropping the update, leaves the store as it
+    # was, and still writes back the ledger of the trip it finished.
+    calls, zgeru = [], tanint._zgeru
+
+    def copying(alpha, head, mu, a, overwrite_a):
+        calls.append((a, a.copy()))
+        if len(calls) == 2:
+            a = np.ascontiguousarray(a)
+        return zgeru(alpha, head, mu, a=a, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(tanint, "_zgeru", copying)
+    rng = np.random.default_rng(73)
+    cd = np.zeros(4, dtype=np.int64)
     with pytest.raises(RuntimeError, match="in place"):
-        ws.step(1, 1j, np.array([0.5, 0.0, 0.0, 2.0], dtype=complex))
-    assert _same_bits(ws.store, before)
-    assert ws.lens == [1, 1, 1, 1] and ws.length == 1
+        tanint._serial_core(np.array([1.0, 1j, -1.0]), crandn(rng, 3, 4),
+                            _refs(3), cd, 1e-8, False)
+    store, before = calls[-1]
+    assert len(calls) == 2 and _same_bits(store, before)
+    assert cd.sum() == 1 and cd.max() == 1
 
 
 def test_each_step_lengthens_the_basis_by_at_most_one():
     # The pivot column grows by one and a column mixed with it reaches its
-    # old length, so K steps leave a basis at most K + 1 long.
-    ws = _bare_workspace(2)
-    mu = np.array([0.0, 1.0], dtype=complex)
-    for node, lens in ((1.0, [2, 1]), (-1.0, [3, 2]), (1j, [4, 3])):
-        ws.step(0, node, mu)
-        assert ws.lens == lens and ws.length == lens[0]
+    # old length, so K steps leave a basis at most K + 1 long.  Column 1
+    # starts too high to pivot, so each condition pivots on column 0 and is
+    # mixed into column 1: K conditions leave lengths K + 1 and K.
+    rng = np.random.default_rng(71)
+    nodes = np.array([1.0, -1.0, 1j])
+    weights = crandn(rng, 3, 2)
+    for k in (1, 2, 3):
+        coeffs, _, deferred = tanint._serial_core(
+            nodes[:k], weights[:k], _refs(k), np.array([0, 9]), 1e-8, False)
+        assert deferred == [] and coeffs.shape == (2, 2, k + 1)
+        assert _column_lengths(coeffs).tolist() == [k + 1, k]
     # over two columns, the third condition pivots on a column of length 2
     rng = np.random.default_rng(78)
     nodes = np.exp(2j * np.pi * rng.uniform(size=3))
@@ -814,19 +867,24 @@ def test_scalar_sweep_picks_the_first_largest_lowest_column(row, col_degrees,
     _assert_sweeps_match(nodes, weights, col_degrees)
 
 
-def _absorption_order(monkeypatch, core, workspace, nodes, weights,
-                      col_degrees):
-    """The condition indices a sweep absorbs, in the order it absorbs them,
-    read off the steps of its ``workspace`` class; the nodes must differ."""
-    order, step = [], workspace.step
+def _absorption_order(monkeypatch, nodes, weights, col_degrees):
+    """The condition indices the library's sweep and the reference absorb,
+    in the order each absorbs them: the library's read off its logged
+    trips, the reference's off the steps of its ``CubeWorkspace``, whose
+    nodes must differ."""
+    with monkeypatch.context() as patch:
+        trips = _log_trips(patch, len(nodes))
+        _sweep(tanint._serial_core, nodes, weights, col_degrees, 1e-8, True)
+    order, step = [], CubeWorkspace.step
 
     def logged(self, j, node, mu):
         order.append(int(np.flatnonzero(nodes == node)[0]))
         return step(self, j, node, mu)
 
-    monkeypatch.setattr(workspace, "step", logged)
-    _sweep(core, nodes, weights, col_degrees, 1e-8, True)
-    return order
+    with monkeypatch.context() as patch:
+        patch.setattr(CubeWorkspace, "step", logged)
+        _sweep(reference_serial_core, nodes, weights, col_degrees, 1e-8, True)
+    return [trip[0] for trip in trips], order
 
 
 @pytest.mark.parametrize("weights, col_degrees, first", [
@@ -858,10 +916,7 @@ def test_sweep_takes_the_largest_row_of_the_first_lowest_column(
         monkeypatch, weights, col_degrees, first):
     weights = np.array(weights, dtype=np.complex128)
     nodes = np.exp(2j * np.pi * np.arange(len(weights)) / 7)
-    for core, workspace in ((tanint._serial_core, tanint._Workspace),
-                            (reference_serial_core, CubeWorkspace)):
-        order = _absorption_order(monkeypatch, core, workspace, nodes,
-                                  weights, col_degrees)
+    for order in _absorption_order(monkeypatch, nodes, weights, col_degrees):
         assert order[:len(first)] == first
     _assert_sweeps_match(nodes, weights, col_degrees)
 
