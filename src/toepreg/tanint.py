@@ -62,16 +62,12 @@ multiply-adds, is left as rounding noise.
 
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
-tree, the cleanup pass absorbs the deferred conditions, in sorted ref order
-then stride order, in batches of at most the system's ``n_lim``.  Each
-batch is swept like a leaf and multiplied into a short running product of
-the batch bases; one combine product (``fftpoly``'s error-free split) then
-multiplies the tree basis by it, whatever the number of batches.  A
-deferred condition thus costs one more leaf-sized sweep, not a step over
-the full-length basis.
-Before each batch the running product is scaled as the basis was when
-every batch had a full-length product of its own, so each batch takes the
-pivots it took then.
+tree, the cleanup pass absorbs the deferred conditions as one more right
+subtree whose left sibling is the whole tree: their pristine weights,
+premultiplied by the tree basis on the node grid, go through one sweep,
+which pivots as a leaf's does, and one combine product folds its basis
+into the tree basis.  Every trip of that sweep updates every deferred
+condition's row, so the pass grows with the square of their number.
 
 The column degrees are a plain int64 array that starts at ``-tau`` and is
 raised in place as conditions are absorbed.  The leaf budget is set in one
@@ -81,14 +77,13 @@ the extension and the tree's split cannot disagree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg.blas import zgeru as _zgeru
 
 from .extension import AssembledSystem
-from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply, next_fast_len
+from .fftpoly import MatrixPoly, grid_eval, matpoly_multiply
 
 __all__ = [
     "SingularSystemError",
@@ -98,8 +93,10 @@ __all__ = [
 ]
 
 # A pivot smaller than this fraction of the largest candidate defers its
-# condition; the cleanup pass accepts pivots down to 1e-13.
+# condition in a leaf,
 _PIVOT_THRESHOLD = 1e-8
+# and one smaller than this raises in the cleanup pass, against the full basis.
+_CLEANUP_PIVOT_THRESHOLD = 1e-13
 
 # Smallest leaf store, in rows; a power of two (see ``_serial_core``).
 _STORE_MIN_ROWS = 64
@@ -152,23 +149,6 @@ def _normalize_columns(coeffs) -> float:
     return float(safe.max())
 
 
-def _transform(coeffs, length: int) -> np.ndarray:
-    """A (p, p, L) coefficient array's transform at ``next_fast_len(length)``
-    points, node-major: (points, p, p)."""
-    return np.fft.fft(coeffs.transpose(2, 0, 1), next_fast_len(length), axis=0)
-
-
-def _column_peaks(left_hat, coeffs) -> np.ndarray:
-    """Largest coefficient magnitude of each column of the product A C, in
-    double precision, for the A whose ``_transform`` is ``left_hat``; that
-    transform must be at least the product's length.  All-zero columns give
-    1, as in ``_normalize_columns``."""
-    right_hat = _transform(coeffs, len(left_hat))
-    prod = np.fft.ifft(left_hat @ right_hat, axis=0)
-    peaks = np.abs(prod).max(axis=(0, 1))
-    return np.where(peaks > 0.0, peaks, 1.0)
-
-
 def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     """One sweep: absorb the given conditions, in the order it chooses,
     into a fresh store that starts from the identity.
@@ -204,8 +184,9 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     The coefficient block holds a power-of-two number of rows, at least
     ``_STORE_MIN_ROWS``, and ``_grown`` doubles it, copying its rows
     exactly, only when the pivot column would outgrow ``cap``, the number
-    of coefficients it holds; so the update's work tracks the basis length
-    and a leaf's store stays below OpenBLAS's threading size.  The padding
+    of coefficients it holds; so the update's work tracks the basis length.
+    A leaf's store stays below OpenBLAS's threading size; the cleanup's
+    can pass it, which with alpha = 1 changes no bit (below).  The padding
     of both blocks keeps the BLAS kernel's blocked and tail loops on the
     same rows whatever the store size, so a sweep's bits do not depend on
     when the store grew.
@@ -333,26 +314,6 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     return basis.copy(), factor, deferred
 
 
-def _stride_order(count: int) -> np.ndarray:
-    """Low-discrepancy ordering of range(count): i -> i*s mod count with a
-    coprime stride s near the golden fraction of count.
-
-    The cleanup composes its batches in this order.  Every prefix of the
-    sequence is nearly equidistributed (three-distance theorem), and unlike
-    an even-odd decimation consecutive entries cycle through all residue
-    classes, so a batch spreads over the deferred nodes instead of taking
-    an arc of adjacent ones.  Batches of sorted refs leave some batch
-    without an admissible pivot: every rect problem of perfbench seeds 1
-    and 2 then raises ``SingularSystemError``.
-    """
-    if count <= 2:
-        return np.arange(count)
-    s = int(round(0.6180339887498949 * count))
-    while math.gcd(s, count) != 1:
-        s += 1
-    return (np.arange(count) * s) % count
-
-
 def _flatten(weights, nodes, order):
     """Node-major flattening of the conditions at the node indices ``order``,
     taken in that order: (nodes, weights, (index, row) refs), one per
@@ -375,9 +336,8 @@ class _Engine:
     Weights are updated in place as left-subtree bases are produced, so a
     leaf always sees its conditions pre-multiplied by everything already
     absorbed.  The pristine originals are kept for the cleanup pass, which
-    absorbs the deferred conditions after the tree in leaf-sized batches,
-    gathers the batch bases in a short running product, and folds that into
-    the tree basis with one combine product.
+    absorbs the deferred conditions after the tree in one sweep, and folds
+    its basis into the tree basis with one combine product.
     """
 
     def __init__(self, system, diag):
@@ -415,7 +375,12 @@ class _Engine:
             self.weights[:, idx] = self._premultiplied(
                 self.weights[:, idx], b_left.coeffs, c, child)
         b_right = self._rec(o + stride, child, depth + 1)
-        prod = matpoly_multiply(b_left, b_right).trimmed()
+        return self._combine(b_left, b_right)
+
+    def _combine(self, left, right) -> MatrixPoly:
+        """The column-normalized product of a left basis and its right
+        sibling's."""
+        prod = matpoly_multiply(left, right).trimmed()
         factor = _normalize_columns(prod.coeffs)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
         return prod
@@ -448,63 +413,27 @@ class _Engine:
     # -- deferred conditions -----------------------------------------------
 
     def _cleanup(self, tree: MatrixPoly) -> MatrixPoly:
-        """Absorb the deferred conditions into the tree basis.
+        """Absorb the deferred conditions into the tree basis, as one more
+        right subtree whose left sibling is the whole tree.
 
-        The refs, sorted and then in stride order, go in batches of at most
-        ``n_lim`` conditions; their pristine weights are premultiplied once
-        by the tree basis on the node grid.  Each batch is a right subtree
-        of its own: its weights, premultiplied further by the running
-        product R of the batch bases so far at the batch's nodes, are swept
-        into a fresh leaf-sized workspace, and the batch basis joins R
-        through one short product.  One product, the only one as long as
-        the tree basis, then forms tree x R, column-normalized as ``_rec``
-        normalizes a combine.
-
-        Before each batch after the first, R's columns are divided by the
-        column maxima of tree x R: the divisors the basis had when each
-        batch was folded in by its own full-length product, so the weights
-        scale as they did then and every batch takes the same pivots.  The
-        divisors come from a double-precision product that nothing else
-        reads, and one transform of the tree serves them all.  Against the
-        full basis the once-ambiguous pivots are decided; any residual
-        underflow here is a genuinely singular system.
+        The sorted refs' pristine weights are premultiplied by the tree
+        basis on the node grid and swept, all in one ``_serial_core``, at
+        ``_CLEANUP_PIVOT_THRESHOLD``; ``_combine`` folds the sweep's basis
+        into the tree basis.  Against the full basis the once-ambiguous
+        pivots are decided; any underflow here is a genuinely singular
+        system.
         """
         if not self.deferred:
             return tree
         points = sorted(self.deferred)
-        points = [points[i] for i in _stride_order(len(points))]
         index, row = np.array(points).T
         vals = grid_eval(tree.coeffs, self.order)[:, :, index]
-        premult = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
-        run = tree_hat = None
-        for start in range(0, len(points), self.n_lim):
-            batch = slice(start, start + self.n_lim)
-            weights = premult[batch]
-            if run is not None:
-                vals = grid_eval(run.coeffs, self.order)[:, :, index[batch]]
-                weights = np.einsum("ti,ijt->tj", weights, vals)
-            coeffs, factor, _ = _serial_core(self.nodes[index[batch]], weights,
-                                             points[batch], self.col_degrees,
-                                             1e-13, False)
-            step = MatrixPoly(coeffs)
-            run = step if run is None else matpoly_multiply(run, step)
-            if batch.stop < len(points):
-                # Scale as the per-batch product would be normalized.  One
-                # transform of the tree serves the scale products, sized for
-                # the last on the guess that no later batch basis is longer
-                # than this one; a product that outgrows it transforms again.
-                need = tree.length + run.length - 1
-                if tree_hat is None or len(tree_hat) < need:
-                    later = (len(points) - batch.stop - 1) // self.n_lim
-                    tree_hat = _transform(tree.coeffs, need + later * step.length)
-                peaks = _column_peaks(tree_hat, run.coeffs)
-                run.coeffs /= peaks[None, :, None]
-                factor = max(factor, float(peaks.max()))
-            self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
-        basis = matpoly_multiply(tree, run).trimmed()
-        factor = _normalize_columns(basis.coeffs)
+        weights = np.einsum("ti,ijt->tj", self.pristine[row, index], vals)
+        coeffs, factor, _ = _serial_core(self.nodes[index], weights, points,
+                                         self.col_degrees,
+                                         _CLEANUP_PIVOT_THRESHOLD, False)
         self.diag.max_column_scale = max(self.diag.max_column_scale, factor)
-        return basis
+        return self._combine(tree, MatrixPoly(coeffs))
 
 
 def rec_tan_int(system: AssembledSystem, diagnostics: TanIntDiagnostics = None):

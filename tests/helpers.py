@@ -24,7 +24,7 @@ import numpy as np
 
 from toepreg import tanint
 from toepreg.extension import AssembledSystem, extended_generating_sequence
-from toepreg.fftpoly import MatrixPoly, grid_eval, matpoly_multiply
+from toepreg.fftpoly import MatrixPoly, grid_eval
 from toepreg.solver import dense_normal_matrix
 from toepreg.tanint import SingularSystemError
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
@@ -216,49 +216,21 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
 
 
 def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
-    """Reference for ``_Engine._cleanup``: the same batches, each stepped
-    one condition at a time into the full-length basis by the cube
-    reference, which pivots within the batch.  Costs O(deferred x basis
-    length); patch it over the engine's method to compare the batched pass
-    against it."""
+    """Reference for ``_Engine._cleanup``: the sorted deferred conditions,
+    stepped one at a time into the full-length tree basis by the cube
+    reference, which pivots over all of them.  Costs O(deferred x basis
+    length); patch it over the engine's method to compare the library's
+    pass against it."""
     if not engine.deferred:
         return basis
-    points = sorted(engine.deferred)
-    points = [points[i] for i in tanint._stride_order(len(points))]
-    coeffs = basis.coeffs
-    for start in range(0, len(points), engine.n_lim):
-        refs = points[start:start + engine.n_lim]
-        index, row = np.array(refs).T
-        coeffs, factor, _ = reference_serial_core(
-            engine.nodes[index], engine.pristine[row, index], refs,
-            engine.col_degrees, 1e-13, False, basis=coeffs)
-        engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
+    refs = sorted(engine.deferred)
+    index, row = np.array(refs).T
+    coeffs, factor, _ = reference_serial_core(
+        engine.nodes[index], engine.pristine[row, index], refs,
+        engine.col_degrees, tanint._CLEANUP_PIVOT_THRESHOLD, False,
+        basis=basis.coeffs)
+    engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
     return MatrixPoly(coeffs)
-
-
-def per_batch_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
-    """Reference for ``_Engine._cleanup``: the same batches, each folded
-    into the full-length basis by its own product.
-
-    Each batch's pristine weights are premultiplied by the current basis on
-    the node grid, swept into a fresh leaf-sized workspace, and the batch
-    basis multiplied in, after which the product's columns are normalized.
-    The library's pass must take the same pivots in every batch."""
-    if not engine.deferred:
-        return basis
-    points = sorted(engine.deferred)
-    points = [points[i] for i in tanint._stride_order(len(points))]
-    for start in range(0, len(points), engine.n_lim):
-        refs = points[start:start + engine.n_lim]
-        index, row = np.array(refs).T
-        vals = grid_eval(basis.coeffs, engine.order)[:, :, index]
-        weights = np.einsum("ti,ijt->tj", engine.pristine[row, index], vals)
-        coeffs, factor, _ = tanint._serial_core(
-            engine.nodes[index], weights, refs, engine.col_degrees, 1e-13, False)
-        basis = matpoly_multiply(basis, MatrixPoly(coeffs)).trimmed()
-        factor = max(factor, tanint._normalize_columns(basis.coeffs))
-        engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
-    return basis
 
 
 # -- the one-pass serial driver ----------------------------------------------
