@@ -66,8 +66,11 @@ tree, the cleanup pass absorbs the deferred conditions as one more right
 subtree whose left sibling is the whole tree: their pristine weights,
 premultiplied by the tree basis on the node grid, go through one sweep,
 which pivots as a leaf's does, and one combine product folds its basis
-into the tree basis.  Every trip of that sweep updates every deferred
-condition's row, so the pass grows with the square of their number.
+into the tree basis.  Every trip of that sweep updates the row of every
+deferred condition still pending, and the sweep drops the retired rows
+each time half of them are, so the pass still grows with the square of
+their number, at about two thirds of the residual-row work of keeping
+them all.
 
 The column degrees are a plain int64 array that starts at ``-tau`` and is
 raised in place as conditions are absorbed.  The leaf budget is set in one
@@ -108,6 +111,14 @@ _ROW_FLOOR = 1e-14
 # Rows within this factor of the largest in a column tie (``_serial_core``).
 _ROW_TIE = 1.0 - 1e-8
 
+# Largest piece of a rank-one update, in store elements: OpenBLAS threads
+# ``zger`` past 9216 (see ``_serial_core``).
+_SERIAL_BLAS_SIZE = 8192
+
+# A residual block of at least this many rows drops its retired rows once
+# half of its conditions are retired (see ``_serial_core``).
+_COMPACT_MIN_ROWS = 512
+
 
 class SingularSystemError(RuntimeError):
     """The interpolation data does not determine a unique solution."""
@@ -122,6 +133,46 @@ class TanIntDiagnostics:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _padded(rows: int) -> int:
+    """``rows`` rounded up to a multiple of ``_STORE_MIN_ROWS``."""
+    return -(-rows // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+
+
+def _compacted(store, res: int, keep: list):
+    """(store, res) holding only the residual rows ``keep`` of ``store``, in
+    that order and padded with zero rows, over its coefficient block, with
+    every row copied exactly."""
+    rows, p = store.shape
+    kept = _padded(len(keep))
+    compact = np.zeros((kept + rows - res, p), dtype=np.complex128, order="F")
+    compact[:len(keep)] = store[keep]
+    compact[kept:] = store[res:]
+    return compact, kept
+
+
+def _views(store, res: int, count: int, mu):
+    """What a sweep reads of its store, rebuilt when the store is: (cap,
+    head, pieces, cols).  ``cap`` is the number of coefficients the block
+    holds, ``head`` a buffer for the pivot column, ``cols`` each column's
+    ``count`` residual rows, and ``pieces`` the (x, y, a) operands of the
+    in-place ``zgeru`` calls that make the update ``store += head mu^T``,
+    each at most ``_SERIAL_BLAS_SIZE`` elements: the whole store when it
+    fits, else column groups while one column fits, else single-column
+    chunks of ``_SERIAL_BLAS_SIZE`` rows."""
+    rows, p = store.shape
+    head = np.empty(rows, dtype=np.complex128)
+    size = _SERIAL_BLAS_SIZE
+    if rows * p <= size:
+        pieces = [(head, mu, store)]
+    elif rows <= size:
+        k = size // rows
+        pieces = [(head, mu[a:a + k], store[:, a:a + k]) for a in range(0, p, k)]
+    else:
+        pieces = [(head[r:r + size], mu[a:a + 1], store[r:r + size, a:a + 1])
+                  for a in range(p) for r in range(0, rows, size)]
+    return (rows - res) // p, head, pieces, [store[:count, k] for k in range(p)]
 
 
 def _grown(store, res: int, length: int) -> np.ndarray:
@@ -172,6 +223,16 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     search.  The store does not outlive the sweep: the basis is read from
     it once, when the sweep ends.
 
+    Compaction: once a residual block of at least ``_COMPACT_MIN_ROWS``
+    rows has retired half of its conditions, ``_compacted`` rebuilds the
+    store with only the pending rows, in their order, padded again, over
+    the same coefficient block; ``points``, ``refs``, ``res_nodes``,
+    ``pending``, ``cols`` and the update's pieces follow, and row t names
+    the t-th pending condition from then on.  The order is kept, so the
+    row rule's first row within the tie window is the same condition, and
+    every row is copied exactly, so compaction moves no bit.  Only the
+    cleanup's store is that large; a leaf holds at most ``n_lim`` rows.
+
     ``lens[j]``, an int, is the coefficient length of column j: every
     coefficient row of that column at or past ``lens[j] * p`` is exactly
     zero.  ``length`` is the largest of them, the true length of the
@@ -185,17 +246,22 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     ``_STORE_MIN_ROWS``, and ``_grown`` doubles it, copying its rows
     exactly, only when the pivot column would outgrow ``cap``, the number
     of coefficients it holds; so the update's work tracks the basis length.
-    A leaf's store stays below OpenBLAS's threading size; the cleanup's
-    can pass it, which with alpha = 1 changes no bit (below).  The padding
-    of both blocks keeps the BLAS kernel's blocked and tail loops on the
-    same rows whatever the store size, so a sweep's bits do not depend on
-    when the store grew.
+    The padding of both blocks keeps the BLAS kernel's blocked and tail
+    loops on the same rows whatever the store size, so a sweep's bits do
+    not depend on when the store grew or was compacted.
 
-    A trip's update is one ``zgeru`` over the whole store with alpha = 1,
-    which must update the store in place, or the sweep raises
-    ``RuntimeError``.  With alpha = 1 every product is mu_i * head_l, so
-    OpenBLAS's threaded path for large stores gives the same bits as its
-    serial one.  The pivot column's coefficients then shift by (z - node),
+    A trip's update, ``store += head mu^T``, is made by ``zgeru`` with
+    alpha = 1 in the pieces ``_views`` lists: the whole store while it
+    holds at most ``_SERIAL_BLAS_SIZE`` elements, as every leaf store
+    does, else column groups (an F-ordered column slice is F-contiguous),
+    else single-column chunks of ``_SERIAL_BLAS_SIZE`` rows.  OpenBLAS
+    threads ``zger`` past 9216 elements, which gains nothing on two cores
+    and stalls beside a busy process, so no call reaches it.  With
+    alpha = 1 each element gets mu_i * head_l added, the same product and
+    sum in any piece, so the pieces leave the bits of one whole-store call.
+    Each piece must be updated in place, or the sweep raises
+    ``RuntimeError``.  The pieces are rebuilt only when the store is
+    reallocated.  The pivot column's coefficients then shift by (z - node),
     and its residual entries are multiplied by (nodes - node), both
     written into the column with no temporary; the shift keeps ``-node``
     as its first operand, because NumPy's vectorized complex multiply
@@ -232,7 +298,7 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     raises.
     """
     count, p = weights.shape
-    res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+    res = _padded(count)
     store = _grown(np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
                             order="F"), res, 1)
     scale = np.abs(weights).max(axis=1, initial=0.0)
@@ -241,16 +307,28 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     store[res:res + p] = np.eye(p)
     res_nodes = np.zeros(res, dtype=np.complex128)
     res_nodes[:count] = nodes
-    cap = (store.shape[0] - res) // p
-    cols = [store[:count, k] for k in range(p)]
+    mu = np.empty(p, dtype=np.complex128)
+    cap, head, pieces, cols = _views(store, res, count, mu)
     lens = [1] * p
     length = 1
     points = nodes.tolist()
     pending = [True] * count
+    left = count
     cd = col_degrees.tolist()
     deferred = []
     try:
+        # The range is fixed here; compaction rebinds ``count`` below.
         for _ in range(count):
+            if res >= _COMPACT_MIN_ROWS and 2 * left <= count:
+                keep = [t for t in range(count) if pending[t]]
+                store, res = _compacted(store, res, keep)
+                res_nodes = np.append(res_nodes[keep],
+                                      np.zeros(res - left, dtype=np.complex128))
+                points = [points[t] for t in keep]
+                refs = [refs[t] for t in keep]
+                pending = [True] * left
+                count = left
+                cap, head, pieces, cols = _views(store, res, count, mu)
             low = min(cd)
             c = cd.index(low)
             mod = np.abs(cols[c])
@@ -262,6 +340,7 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
                 phi = store[t]
                 mags = np.abs(phi).tolist()
             pending[t] = False
+            left -= 1
             amax = max(mags)
             small = amax <= _ROW_FLOOR
             if not small:
@@ -282,17 +361,17 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
             # -phi / phi[j] bit for bit wherever phi is nonzero, as complex
             # division is symmetric in sign, with one scalar negation in
             # place of a row's; an exact zero may take the other sign.
-            mu = np.divide(phi, -pj)
+            np.divide(phi, -pj, out=mu)
             mu[j] = 0.0
             phi.fill(0.0)
             lj = lens[j]
             if lj >= cap:
                 store = _grown(store, res, lj + 1)
-                cap = (store.shape[0] - res) // p
-                cols = [store[:count, k] for k in range(p)]
-            head = store[:, j].copy()
-            if _zgeru(1.0, head, mu, a=store, overwrite_a=1) is not store:
-                raise RuntimeError("rank-one update did not write the store in place")
+                cap, head, pieces, cols = _views(store, res, count, mu)
+            head[:] = store[:, j]
+            for x, y, a in pieces:
+                if _zgeru(1.0, x, y, a=a, overwrite_a=1) is not a:
+                    raise RuntimeError("rank-one update did not write the store in place")
             end = res + lj * p
             col = store[:, j]
             node = points[t]

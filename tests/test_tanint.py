@@ -303,7 +303,7 @@ def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
 
 
 def test_step_raises_on_a_store_it_cannot_update_in_place(monkeypatch):
-    # Handed a C-ordered array, zgeru updates a copy and returns it; the
+    # Handed a copy of the store, zgeru updates the copy and returns it; the
     # sweep raises instead of dropping the update, leaves the store as it
     # was, and still writes back the ledger of the trip it finished.
     calls, zgeru = [], tanint._zgeru
@@ -311,18 +311,30 @@ def test_step_raises_on_a_store_it_cannot_update_in_place(monkeypatch):
     def copying(alpha, head, mu, a, overwrite_a):
         calls.append((a, a.copy()))
         if len(calls) == 2:
-            a = np.ascontiguousarray(a)
+            a = a.copy()
         return zgeru(alpha, head, mu, a=a, overwrite_a=overwrite_a)
 
     monkeypatch.setattr(tanint, "_zgeru", copying)
     rng = np.random.default_rng(73)
+    nodes, weights = np.array([1.0, 1j, -1.0]), crandn(rng, 3, 4)
     cd = np.zeros(4, dtype=np.int64)
     with pytest.raises(RuntimeError, match="in place"):
-        tanint._serial_core(np.array([1.0, 1j, -1.0]), crandn(rng, 3, 4),
-                            _refs(3), cd, 1e-8, False)
+        tanint._serial_core(nodes, weights, _refs(3), cd, 1e-8, False)
     store, before = calls[-1]
     assert len(calls) == 2 and _same_bits(store, before)
     assert cd.sum() == 1 and cd.max() == 1
+    # Its 128 x 4 store, updated in one-column groups or in chunks of 64
+    # rows, raises on a copy of the second piece of the first trip, and no
+    # trip finishes.
+    for size in (128, 64):
+        monkeypatch.setattr(tanint, "_SERIAL_BLAS_SIZE", size)
+        calls.clear()
+        cd = np.zeros(4, dtype=np.int64)
+        with pytest.raises(RuntimeError, match="in place"):
+            tanint._serial_core(nodes, weights, _refs(3), cd, 1e-8, False)
+        assert [a.size for a, _ in calls] == [size, size]
+        assert calls[0][0].base is calls[1][0].base
+        assert not cd.any()
 
 
 def test_each_step_lengthens_the_basis_by_at_most_one():
@@ -632,10 +644,100 @@ def test_cleanup_sweeps_deferred_conditions_once(monkeypatch):
         assert len(products) == 1 and products[0][0] == trees[0]
 
 
-def test_cleanup_solves_a_one_row_regularizer_at_2048():
+def _log_updates(patch):
+    """Log, through ``patch``, each ``zgeru`` call of the library's sweeps
+    as (shape of the array it was given, whether it returned that array)."""
+    calls, zgeru = [], tanint._zgeru
+
+    def logged(alpha, head, mu, a, overwrite_a):
+        out = zgeru(alpha, head, mu, a=a, overwrite_a=overwrite_a)
+        calls.append((a.shape, out is a))
+        return out
+
+    patch.setattr(tanint, "_zgeru", logged)
+    return calls
+
+
+def _assert_serial_updates(calls):
+    """Every logged update wrote its array in place and was small enough
+    for OpenBLAS to run on one thread."""
+    assert all(in_place for _, in_place in calls)
+    assert max(rows * cols for (rows, cols), _ in calls) <= tanint._SERIAL_BLAS_SIZE
+
+
+def test_rank_one_updates_stay_below_the_blas_threading_size(monkeypatch):
+    # The cleanup store of a 1-row L at n=512 reaches 3072 x 7 = 21,504
+    # elements; its update goes in column groups, each below the size past
+    # which OpenBLAS threads zger, and the solve keeps the bits of one
+    # whole-store call per trip.
+    system = assemble(_rect_problem(512, "p=1"))
+    found = []
+    for size in (tanint._SERIAL_BLAS_SIZE, 10**9):
+        with monkeypatch.context() as patch:
+            patch.setattr(tanint, "_SERIAL_BLAS_SIZE", size)
+            calls = _log_updates(patch)
+            diag = TanIntDiagnostics()
+            basis, cd, deferred = rec_tan_int(system, diagnostics=diag)
+        found.append((calls, basis.coeffs, cd, deferred))
+    (split, coeffs, cd, deferred), (whole, *unsplit) = found
+    _assert_serial_updates(split)
+    assert diag.difficult_points > 0 and len(split) > len(whole)
+    assert max(rows * cols for (rows, cols), _ in whole) > tanint._SERIAL_BLAS_SIZE
+    assert _same_bits(coeffs, unsplit[0]) and _same_bits(cd, unsplit[1])
+    assert deferred == unsplit[2]
+    # A system that defers nothing keeps every leaf store whole: one call
+    # per absorbed condition.
+    calls = _log_updates(monkeypatch)
+    diag = TanIntDiagnostics()
+    rec_tan_int(assemble(random_problem("general", 128, np.random.default_rng(7))),
+                diagnostics=diag)
+    assert diag.difficult_points == 0
+    assert len(calls) == diag.conditions_total
+    _assert_serial_updates(calls)
+
+
+def test_compaction_leaves_the_sweep_bits_alone(monkeypatch):
+    # One sweep over all 3072 conditions of a rect system drops its retired
+    # residual rows at 3072, 1536 and 768 rows; the stable order keeps the
+    # row rule's first row in the tie window, and every row is copied
+    # exactly, so the sweep takes the same decisions and leaves the same
+    # bits as one that never compacts.  Three all-zero conditions are
+    # deferred last, after the compactions, under their own refs.
+    system = assemble(_rect_problem(512, "m=n/4"))
+    nodes, weights, refs = tanint._flatten(system.weights, system.nodes,
+                                           np.arange(system.order))
+    assert len(nodes) == 3072
+    zero = [100, 1700, 2900]
+    weights[zero] = 0.0
+    found, compact = [], tanint._compacted
+    for trigger in (tanint._COMPACT_MIN_ROWS, 10**9):
+        monkeypatch.setattr(tanint, "_COMPACT_MIN_ROWS", trigger)
+        blocks = []
+
+        def compacted(store, res, keep):
+            blocks.append((res, len(keep)))
+            return compact(store, res, keep)
+
+        monkeypatch.setattr(tanint, "_compacted", compacted)
+        cd = -system.tau
+        coeffs, factor, deferred = tanint._serial_core(
+            nodes, weights, refs, cd, tanint._PIVOT_THRESHOLD, True)
+        found.append((blocks, coeffs, factor, deferred, cd))
+    (blocks, *compacted_bits), (never, *whole_bits) = found
+    assert blocks == [(3072, 1536), (1536, 768), (768, 384)] and never == []
+    coeffs, factor, deferred, cd = compacted_bits
+    assert _same_bits(coeffs, whole_bits[0]) and factor == whole_bits[1]
+    assert deferred == whole_bits[2] == [refs[t] for t in zero]
+    assert _same_bits(cd, whole_bits[3])
+
+
+def test_cleanup_solves_a_one_row_regularizer_at_2048(monkeypatch):
     # 4088 of its 12288 conditions are deferred.  Swept in leaf-sized
     # batches, they leave a relative residual of 3.8e-6; in one sweep, 3e-9.
+    # Its cleanup store passes 8192 rows, so the update goes in single-column
+    # chunks of 8192 rows.
     problem = _rect_problem(2048, "p=1")
+    calls = _log_updates(monkeypatch)
     diag = TanIntDiagnostics()
     basis, cd, _ = rec_tan_int(assemble(problem), diagnostics=diag)
     x = extract_solution(basis, cd, problem.n)
@@ -644,6 +746,8 @@ def test_cleanup_solves_a_one_row_regularizer_at_2048():
                 / np.linalg.norm(rhs))
     assert diag.difficult_points > 0
     assert residual < 1e-8
+    _assert_serial_updates(calls)
+    assert ((tanint._SERIAL_BLAS_SIZE, 1), True) in calls
 
 
 _THREADED_SOLVE = """
@@ -661,8 +765,10 @@ for part in (report.x_hat, report.basis.coeffs):
 
 def test_cleanup_bits_do_not_depend_on_blas_threads():
     # The cleanup sweep's store on a 1-row L at n=512, 3072 rows by 7, is
-    # past OpenBLAS's threading size for the rank-one update, which with
-    # alpha = 1 gives the serial bits: one and two BLAS threads solve alike.
+    # past OpenBLAS's threading size for the rank-one update.  The sweep
+    # updates it in pieces below that size, each on one thread whatever the
+    # setting, and with alpha = 1 a piece gets the products and sums of the
+    # whole-store call: one and two BLAS threads solve alike.
     tests = Path(__file__).resolve().parent
     src = str(Path(tanint.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, str(tests),
