@@ -53,12 +53,14 @@ displacement-structured matrix (Gohberg, Kailath and Olshevsky, Math.
 Comp. 1995), by the modulus of the rows in one column, so it needs no
 fixed order and no second look at its finished basis.  An updated row carries
 the rounding of every update since its start, uncorrected within the
-sweep: the sweep takes the decisions of a NumPy loop that re-evaluates a
-(p, p, length) coefficient cube at each node, and its coefficients agree
-with that loop's to rounding, not bit for bit.  So a condition counts as
-annihilated when its row has fallen to ``_ROW_FLOOR``, not to exactly
-zero: a repeated condition, updated by a kernel that fuses its
-multiply-adds, is left as rounding noise.
+sweep.  So a condition counts as annihilated when its row has fallen to
+``_ROW_FLOOR``, not to exactly zero: a repeated condition, updated by a
+kernel that fuses its multiply-adds, is left as rounding noise.  The tests
+certify a sweep's basis by what it must be, a reduced order basis for the
+conditions it absorbed: each of them holds to rounding, the degree ledger
+counts them, every entry ends at its shifted degree, the leading matrix at
+those degrees is nonsingular, and every raised column ends at most one
+degree above the lowest.
 
 A condition whose pivot underflows in a leaf is deferred, and recorded as
 the plain ``(index, row)`` ref naming its node and weight row.  After the
@@ -206,7 +208,12 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
 
     Returns (coeffs, factor, deferred): the column-normalized basis as a
     (p, p, length) array, the divisor of its largest column (at least 1)
-    and the refs of the deferred conditions.
+    and the refs of the deferred conditions.  The basis is certified as a
+    reduced order basis for the absorbed conditions (Beckermann and
+    Labahn, SIMAX 1994), for the shift ``-col_degrees`` as given: each
+    absorbed condition raises one of the lowest columns by one degree, and
+    entry (i, k) ends at degree ``col_degrees[k]`` as returned less
+    ``col_degrees[i]`` as given.
     Each absorbed condition lengthens one column by one, from 1, so the
     basis is at most ``len(nodes) + 1`` coefficients long.
 

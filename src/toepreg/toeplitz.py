@@ -62,9 +62,6 @@ class ToeplitzSpec:
     def shape(self):
         return (self.rows, self.cols)
 
-    def entry(self, i: int, j: int) -> complex:
-        return self.gen[i - j + self.cols - 1]
-
 
 def materialize(spec: ToeplitzSpec) -> np.ndarray:
     """Dense array for a generator-form Toeplitz matrix."""

@@ -4,20 +4,16 @@ Everything here is deliberately naive: dense blocks, numpy solves, explicit
 loops.  The point is to check the fast paths against arithmetic that cannot
 share their failure modes.  The small polynomial and Toeplitz utilities
 below are used by the tests only, so they live here and not in the library.
-The one-pass serial driver is the recursive driver's reference, and the
-serial sweep at the end is the reference semantics for the library's: a
-(p, p, capacity) coefficient cube stepped by NumPy broadcasting, with NumPy
-bookkeeping and every condition evaluated afresh against the current basis,
-where the library builds one column-major store per sweep, stepped by BLAS,
-and carries each condition as an updated residual row.  Both choose the
-next condition by the same row rule, the reference on fresh values.  The
-two take the same decisions, and their coefficients agree to rounding.
-Only the reference can start from a given basis, as the full-basis cleanup
-does.
-The order-basis check at the end needs no second sweep: it asks of a
-sweep's basis what makes it one, that its absorbed conditions hold, that
-its degree ledger counts them and that its entries end at their shifted
-degrees.
+The one-pass serial driver is the recursive driver's reference.  The
+library's sweep has no second sweep to agree with: the order-basis
+certificates at the end ask of a sweep's or a tree's basis what makes it a
+reduced order basis for the conditions it absorbed, that they hold, that
+the degree ledger counts them, that the entries end at their shifted
+degrees, that the leading matrix there is nonsingular and that the pivots
+kept the column degrees balanced, and of a tree's, that its determinant is
+one constant between the nodes.  A change to how the sweep picks its
+conditions or steps its basis keeps these true, with no reference to move
+along with it.
 """
 
 import numpy as np
@@ -215,24 +211,6 @@ def single_point_basis(weights, node, col_degrees, pivot_threshold: float = 1e-8
     return MatrixPoly(coeffs), j
 
 
-def full_basis_cleanup(engine, basis: MatrixPoly) -> MatrixPoly:
-    """Reference for ``_Engine._cleanup``: the sorted deferred conditions,
-    stepped one at a time into the full-length tree basis by the cube
-    reference, which pivots over all of them.  Costs O(deferred x basis
-    length); patch it over the engine's method to compare the library's
-    pass against it."""
-    if not engine.deferred:
-        return basis
-    refs = sorted(engine.deferred)
-    index, row = np.array(refs).T
-    coeffs, factor, _ = reference_serial_core(
-        engine.nodes[index], engine.pristine[row, index], refs,
-        engine.col_degrees, tanint._CLEANUP_PIVOT_THRESHOLD, False,
-        basis=basis.coeffs)
-    engine.diag.max_column_scale = max(engine.diag.max_column_scale, factor)
-    return MatrixPoly(coeffs)
-
-
 # -- the one-pass serial driver ----------------------------------------------
 
 
@@ -256,147 +234,104 @@ def serial_tan_int(nodes, weights, refs, col_degrees, defer: bool = True):
     return MatrixPoly(coeffs), cd, deferred
 
 
-# -- the serial sweep on a NumPy cube ----------------------------------------
+# -- what makes a basis an order basis --------------------------------------
+
+# Certificate bounds, each at least ten times from the worst value measured
+# on the sweeps and trees that ``test_tanint.py`` certifies.
+# det B at the midpoints of a tree's grid is one constant to this relative
+# spread (worst measured 1.9e-9, general n=256 with a 1-row L).
+DET_SPREAD = 1e-7
+# The leading matrix at the final shifted degrees, each column scaled to
+# unit largest entry, keeps sigma_min / sigma_max at least this (worst
+# measured 2.9e-3 on a tree, l2 at n=512, and 5.5e-2 on a sweep).
+REDUCED = 1e-4
+# A tree basis comes out of FFT products, so its entries end at their
+# shifted degrees only to rounding, this fraction of their column's largest
+# coefficient (worst measured 3.5e-16); a sweep's end exactly.
+TREE_TAIL = 1e-13
 
 
-class CubeWorkspace:
-    """The leaf workspace as a (p, p, capacity) coefficient cube: entry
-    (i, k)'s z^l coefficient sits at ``c[i, k, l]``, and a step is one
-    NumPy broadcast over the cube.  Its ``step``, ``normalize`` and ``view``
-    do what ``tanint._serial_core`` does to the basis block of its store,
-    for which it is the reference; it evaluates the basis afresh with
-    ``value``, and can start from a given basis, every column at its full
-    length."""
+def order_basis_certificates(coeffs, conditions, tau, start, final, deferred,
+                             grid=None) -> dict:
+    """Measure what makes a (p, p, length) basis a reduced order basis for
+    its absorbed conditions (Beckermann and Labahn, SIMAX 1994; Giorgi and
+    Neiger, ISSAC 2018), with no second basis to compare against.
 
-    def __init__(self, p, capacity, coeffs=None):
-        self.c = np.zeros((p, p, capacity), dtype=np.complex128)
-        if coeffs is None:
-            self.c[:, :, 0] = np.eye(p)
-            self.length = 1
-        else:
-            self.length = coeffs.shape[2]
-            self.c[:, :, :self.length] = coeffs
-        self.lens = np.full(p, self.length, dtype=np.int64)
+    ``conditions`` is (nodes, weights, refs); the absorbed ones are those
+    whose ref is not in ``deferred``.  ``start`` and ``final`` are the
+    degree ledgers before and after, for the shift ``tau``: entry (i, j)
+    has degree at most ``final[j] + tau[i]``.  Returns:
 
-    def step(self, j: int, node: complex, mu: np.ndarray):
-        """col_i += mu_i * col_j (mu_j must be 0), then col_j *= (z - node),
-        with the column lengths kept by NumPy calls."""
-        lens = self.lens
-        lj = int(lens[j])
-        head = self.c[:, j, :lj].copy()
-        self.c[:, :, :lj] += mu[None, :, None] * head[:, None, :]
-        self.c[:, j, :lj] = -node * head
-        self.c[:, j, 1:lj + 1] += head
-        np.maximum(lens, lj, out=lens, where=mu != 0.0)
-        lens[j] = lj + 1
-        self.length = int(lens.max())
-
-    def normalize(self) -> float:
-        return tanint._normalize_columns(self.c[:, :, :self.length])
-
-    def view(self) -> np.ndarray:
-        return self.c[:, :, :self.length].copy()
-
-    def value(self, node: complex, w: np.ndarray) -> np.ndarray:
-        """``w . B(node)`` against every column of the current basis B."""
-        length = self.length
-        return w @ (self.c[:, :, :length] @ (node ** np.arange(length)))
-
-
-def reference_serial_core(nodes, weights, refs, col_degrees, pivot_threshold,
-                          defer, basis=None):
-    """``tanint._serial_core`` on a ``CubeWorkspace``, with the row search,
-    the pivot choice and the degree ledger on NumPy arrays and every
-    condition evaluated afresh.  Same call shape and returns, so it can be
-    patched over the module's sweep; the library's sweep must take the
-    same decisions.
-
-    The sweep starts from the identity, or from the (p, p, length)
-    ``basis`` given.  Each condition is scaled by the largest magnitude of
-    its value against that starting basis, and is annihilated when its
-    scaled value has fallen to ``_ROW_FLOOR``.  Each trip evaluates the
-    first lowest column at every pending condition and takes the first
-    whose modulus is at least ``_ROW_TIE`` times the largest, or the first
-    pending condition when the largest is zero; only the chosen condition
-    is evaluated in full."""
-    nodes = np.asarray(nodes)
-    count, p = weights.shape
-    ws = CubeWorkspace(p, count + (1 if basis is None else basis.shape[2]),
-                       basis)
-    start = np.array([ws.value(node, w) for node, w in zip(nodes, weights)])
-    scale = np.abs(start.reshape(count, p)).max(axis=1, initial=0.0)
-    scale[scale == 0.0] = 1.0
-    weights = weights / scale[:, None]
-    powers = nodes[None, :] ** np.arange(ws.c.shape[2])[:, None]
-    pending = np.ones(count, dtype=bool)
-    deferred = []
-    for _ in range(count):
-        c = int(np.argmin(col_degrees))
-        column = ws.c[:, c, :ws.length] @ powers[:ws.length]
-        values = np.einsum("ti,it->t", weights, column)
-        rank = np.where(pending, np.abs(values), 0.0)
-        t = int(np.argmax(rank >= rank.max() * tanint._ROW_TIE))
-        if rank[t] == 0.0:
-            t = int(np.argmax(pending))
-        pending[t] = False
-        node = nodes[t]
-        phi = ws.value(node, weights[t])
-        amax = np.abs(phi).max()
-        small = amax <= tanint._ROW_FLOOR
-        if not small:
-            cands = np.flatnonzero(col_degrees == col_degrees.min())
-            j = int(cands[np.argmax(np.abs(phi[cands]))])
-            small = abs(phi[j]) < pivot_threshold * amax
-        if small:
-            if not defer:
-                raise SingularSystemError(
-                    "pivot underflow while absorbing an interpolation condition"
-                )
-            deferred.append(refs[t])
-            continue
-        mu = -phi / phi[j]
-        mu[j] = 0.0
-        ws.step(j, node, mu)
-        col_degrees[j] += 1
-    factor = ws.normalize()
-    return ws.view(), factor, deferred
-
-
-# -- what makes a sweep's basis an order basis -------------------------------
-
-
-def assert_order_basis(coeffs, conditions, tau, start, final, deferred,
-                       bound: float):
-    """Check a sweep's (p, p, length) basis against what an order basis for
-    its absorbed conditions is (Beckermann and Labahn, SIMAX 1994), with no
-    second sweep to compare against.
-
-    ``conditions`` is the sweep's (nodes, weights, refs); the absorbed ones
-    are those whose ref is not in ``deferred``.  ``start`` and ``final`` are
-    the degree ledgers before and after the sweep, for the shift ``tau``.
-
-    - Every absorbed condition holds on the column-normalized basis:
-      ``|w_t . B(x_t)|`` is at most ``bound * max|w_t|`` in every column.
-    - The ledger: ``sum(final - start)`` is the number of absorbed
-      conditions, one degree each.
-    - Entry (i, j) has exactly zero coefficients past degree
-      ``final[j] + tau[i]``.
+    - ``holds`` (a): the largest ``|w_t . B(x_t)| / max|w_t|`` over the
+      absorbed conditions and the columns of the column-normalized basis.
+    - ``spread`` (b), given the ``grid`` order N of a tree whose conditions
+      are every weight row at every N-th root of unity: the relative spread
+      of det B at the N midpoints, where prod(z - x_t) is one constant.
+    - ``reduced`` (c): sigma_min / sigma_max of the leading matrix, the
+      coefficients at degree ``final[j] + tau[i]``, each column scaled to
+      unit largest entry; 0 when one is all zero.
+    - ``ledger`` (d): ``sum(final - start)`` less the number of absorbed
+      conditions, which each raise one column by one.
+    - ``tail`` (d): the largest coefficient past degree ``final[j] +
+      tau[i]``, relative to its column's largest.
+    - ``balance`` (e): how far above the lowest final degree the highest
+      column the ledger raised ends; the pivot is always a lowest column,
+      so 1 at most (0 when none was raised).
     """
     nodes, weights, refs = conditions
     p, _, length = coeffs.shape
     skipped = set(deferred)
     absorbed = np.array([ref not in skipped for ref in refs], dtype=bool)
     final, start = np.asarray(final), np.asarray(start)
-    assert int((final - start).sum()) == int(absorbed.sum())
-    limit = final[None, :] + np.asarray(tau)[:, None]
-    past = np.arange(length)[None, None, :] > limit[:, :, None]
-    assert not coeffs[past].any()
-    if not absorbed.any():
-        return
+    found = {"ledger": int((final - start).sum()) - int(absorbed.sum())}
     basis = coeffs.copy()
     tanint._normalize_columns(basis)
-    at = np.asarray(nodes)[absorbed]
-    vals = basis.reshape(p * p, length) @ (at[None, :] ** np.arange(length)[:, None])
-    w = np.asarray(weights)[absorbed]
-    phi = np.einsum("ti,ijt->tj", w, vals.reshape(p, p, -1))
-    assert (np.abs(phi).max(axis=1) <= bound * np.abs(w).max(axis=1)).all()
+    limit = final[None, :] + np.asarray(tau)[:, None]
+    past = np.arange(length)[None, None, :] > limit[:, :, None]
+    found["tail"] = float(np.abs(np.where(past, basis, 0.0)).max(initial=0.0))
+    inside = (limit >= 0) & (limit < length)
+    lead = np.where(inside, basis[np.arange(p)[:, None], np.arange(p),
+                                  np.clip(limit, 0, length - 1)], 0.0)
+    colmax = np.abs(lead).max(axis=0)
+    if colmax.all():
+        s = np.linalg.svd(lead / colmax, compute_uv=False)
+        found["reduced"] = float(s[-1] / s[0])
+    else:
+        found["reduced"] = 0.0
+    raised = final > start
+    found["balance"] = int((final[raised] - final.min()).max(initial=0))
+    found["holds"] = 0.0
+    if absorbed.any():
+        at = np.asarray(nodes)[absorbed]
+        vals = basis.reshape(p * p, length) @ (
+            at[None, :] ** np.arange(length)[:, None])
+        w = np.asarray(weights)[absorbed]
+        phi = np.einsum("ti,ijt->tj", w, vals.reshape(p, p, -1))
+        found["holds"] = float((np.abs(phi).max(axis=1)
+                                / np.abs(w).max(axis=1)).max())
+    if grid is not None:
+        mid = grid_eval(coeffs, 2 * grid, offset=1, stride=2)
+        det = np.linalg.det(np.moveaxis(mid, -1, 0))
+        mean = det.mean()
+        found["spread"] = float(np.abs(det - mean).max() / abs(mean))
+    return found
+
+
+def assert_order_basis(coeffs, conditions, tau, start, final, deferred,
+                       bound: float, grid=None):
+    """Assert the certificates ``order_basis_certificates`` measures: every
+    absorbed condition holds to ``bound`` (a); given ``grid``, det B is one
+    constant at the grid's midpoints to ``DET_SPREAD`` (b); the leading
+    matrix is nonsingular to ``REDUCED`` (c); the ledger counts the
+    absorbed conditions, and the entries end at their shifted degrees,
+    exactly for a sweep and to ``TREE_TAIL`` for a tree (d); and every
+    raised column ends at most one degree above the lowest (e)."""
+    found = order_basis_certificates(coeffs, conditions, tau, start, final,
+                                     deferred, grid)
+    assert found["holds"] <= bound
+    assert found["ledger"] == 0
+    assert found["tail"] <= (0.0 if grid is None else TREE_TAIL)
+    assert found["reduced"] >= REDUCED
+    assert found["balance"] <= 1
+    if grid is not None:
+        assert found["spread"] <= DET_SPREAD

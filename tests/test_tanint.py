@@ -11,16 +11,13 @@ import pytest
 import toepreg.tanint as tanint
 from helpers import (
     NEG_INF,
-    CubeWorkspace,
     all_conditions,
     assert_order_basis,
     basis_residuals,
     dense_tikhonov,
-    full_basis_cleanup,
     identity_poly,
     poly_eval,
     random_spec,
-    reference_serial_core,
     rel_err,
     residual,
     serial_tan_int,
@@ -184,24 +181,12 @@ def _full_cube_step(c, j, node, mu):
     c[:, j, 1:] += head[:, :-1]
 
 
-def _assert_close_by_column(a, b, perturbed=None, tol=1e-12):
+def _assert_close_by_column(a, b, tol=1e-12):
     """Two (p, p, length) coefficient arrays agree to ``tol`` of each
-    column's largest entry in ``b``.  Given ``perturbed``, what ``b``'s
-    computation returns for one-ulp changes to its inputs, a column may
-    also differ by up to ten times what that moved it: a sweep that
-    amplifies rounding is held to its reference's own sensitivity."""
+    column's largest entry in ``b``."""
     assert a.shape == b.shape
     bound = tol * np.abs(b).max(axis=(0, 2))
-    if perturbed is not None:
-        assert perturbed.shape == b.shape
-        bound = np.maximum(bound, 10.0 * np.abs(perturbed - b).max(axis=(0, 2)))
     assert (np.abs(a - b).max(axis=(0, 2)) <= bound).all()
-
-
-def _ulp_perturbed(a, seed=79):
-    """``a`` with each entry moved by about one ulp in a random direction."""
-    rng = np.random.default_rng(seed)
-    return a * (1.0 + 2.0**-52 * np.exp(2j * np.pi * rng.uniform(size=a.shape)))
 
 
 def _assert_true_lengths(basis, lens, ref):
@@ -477,7 +462,7 @@ def test_recursive_defers_few_points_at_scale():
     rng = np.random.default_rng(70)
     problem = l2_problem(rng, 512)
     system = assemble(problem)
-    basis, _, deferred = rec_tan_int(system)
+    basis, _, deferred = _assert_tree_certified(system)
     assert len(deferred) < 0.05 * system.rows * system.order
     # deferred or not, the final basis satisfies every condition
     res = np.abs(basis_residuals(system, basis)).max()
@@ -562,33 +547,18 @@ def _rect_problem(n: int, shape: str):
 
 @pytest.mark.parametrize("shape", ["m=n/4", "p=1"])
 @pytest.mark.parametrize("n", [128, 256])
-def test_batched_cleanup_matches_full_basis_reference(monkeypatch, n, shape):
+def test_batched_cleanup_matches_full_basis_reference(n, shape):
+    # The cleanup folds the deferred conditions into the full tree basis,
+    # which comes out a reduced order basis for every condition, and whose
+    # solution matches the dense reference.
     problem = _rect_problem(n, shape)
-    system = assemble(problem)
-    rhs = problem.normal_rhs_vector()
-    exact = dense_tikhonov(problem)
-    found = {}
-    for name, cleanup in (("library", tanint._Engine._cleanup),
-                          ("reference", full_basis_cleanup)):
-        monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
-        diag = TanIntDiagnostics()
-        basis, cd, _ = rec_tan_int(system, diagnostics=diag)
-        x = extract_solution(basis, cd, n)
-        residual = (np.linalg.norm(apply_normal_operator(problem, x) - rhs)
-                    / np.linalg.norm(rhs))
-        found[name] = (diag.difficult_points, cd, residual, rel_err(x, exact))
-    (deferred, cd, res, err), (ref_deferred, ref_cd, ref_res, ref_err) = (
-        found["library"], found["reference"])
-    assert deferred == ref_deferred > 0
-    # the cleanup sweep raises the columns the reference raises
-    assert np.array_equal(cd, ref_cd)
-    assert res < 1e-8 and ref_res < 1e-8
-    assert err <= 10.0 * ref_err
+    diag = TanIntDiagnostics()
+    basis, cd, _ = _assert_tree_certified(assemble(problem), diag)
+    assert diag.difficult_points > 0
+    _assert_solves(problem, basis, cd)
 
 
-@pytest.mark.parametrize("cleanup", [tanint._Engine._cleanup, full_basis_cleanup],
-                         ids=["batched", "reference"])
-def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
+def test_cleanup_pivot_underflow_is_singular():
     # An all-zero condition is deferred by its leaf and leaves the cleanup
     # no pivot at all.
     system = assemble(_rect_problem(128, "m=n/4"))
@@ -596,7 +566,6 @@ def test_cleanup_pivot_underflow_is_singular(monkeypatch, cleanup):
     weights[0, 5, :] = 0.0
     broken = AssembledSystem(system.n, system.order,
                              system.degree_bounds, weights, system.n_lim)
-    monkeypatch.setattr(tanint._Engine, "_cleanup", cleanup)
     with pytest.raises(SingularSystemError):
         rec_tan_int(broken)
 
@@ -793,24 +762,10 @@ def test_recursive_final_degree_structure():
     assert np.count_nonzero(cd == 1) == system.p - 1
 
 
-# ------------------------------------- scalar sweep against the reference
+# --------------------------------------------- sweeps by their certificates
 
 def _refs(count):
     return [(t // 3, t % 3) for t in range(count)]
-
-
-def _sweep(core, nodes, weights, col_degrees, threshold, defer):
-    """One sweep over the conditions ``_refs`` names; returns (coeffs,
-    factor, deferred, col_degrees, error), the first three None and
-    ``error`` the message if the sweep raised a SingularSystemError."""
-    cd = np.array(col_degrees, dtype=np.int64)
-    refs = _refs(len(nodes))
-    found, error = (None, None, None), None
-    try:
-        found = core(nodes, weights, refs, cd, threshold, defer)
-    except SingularSystemError as exc:
-        error = str(exc)
-    return (*found, cd, error)
 
 
 def _same_bits(a, b) -> bool:
@@ -826,49 +781,55 @@ def _column_lengths(coeffs) -> np.ndarray:
 
 
 # A sweep's absorbed conditions hold to this many ulps per condition.  The
-# sweeps here reach 0.6.
+# sweeps here reach 3.7.
 _HOLDS = 1000.0
 _EPS = np.finfo(float).eps
+# A tree's conditions hold to this fraction of their weight rows' largest
+# magnitude.  The trees here reach 1.1e-10.
+_TREE_HOLDS = 1e-8
 
 
-def _assert_sweeps_match(nodes, weights, col_degrees, threshold=1e-8,
-                         defer=True, exact=False):
-    """The library's sweep and the cube reference take the same decisions
-    and return the same normalized coefficients and largest column divisor:
-    bit for bit with ``exact``, else to rounding (see
-    ``_assert_close_by_column``), against a second reference sweep on
-    one-ulp perturbed weights.  The library's basis is an order basis for
-    its absorbed conditions, each of which holds to ``_HOLDS`` times the
-    sweep's condition count in ulps (see ``assert_order_basis``).  Returns
-    the library's (coeffs, factor, deferred, col_degrees, error)."""
-    found = _sweep(tanint._serial_core, nodes, weights, col_degrees,
-                   threshold, defer)
-    coeffs, factor, deferred, cd, error = found
-    ref_coeffs, ref_factor, ref_deferred, ref_cd, ref_error = _sweep(
-        reference_serial_core, nodes, weights, col_degrees, threshold, defer)
-    assert _same_bits(cd, ref_cd)
-    assert deferred == ref_deferred
-    assert error == ref_error
-    if error is not None:
-        return found
+def _assert_sweep_certified(nodes, weights, col_degrees, threshold=1e-8,
+                            defer=True):
+    """Run the library's sweep over the conditions ``_refs`` names and,
+    unless it raised a SingularSystemError, assert that its basis is a
+    reduced order basis for its absorbed conditions, each of which holds to
+    ``_HOLDS`` times the sweep's condition count in ulps (see
+    ``assert_order_basis``).  Returns (coeffs, factor, deferred,
+    col_degrees, error), the first three None and ``error`` the message if
+    the sweep raised."""
+    cd = np.array(col_degrees, dtype=np.int64)
+    refs = _refs(len(nodes))
+    try:
+        coeffs, factor, deferred = tanint._serial_core(nodes, weights, refs, cd,
+                                                       threshold, defer)
+    except SingularSystemError as exc:
+        return None, None, None, cd, str(exc)
     start = np.asarray(col_degrees)
-    assert_order_basis(coeffs, (nodes, weights, _refs(len(nodes))), -start,
-                       start, cd, deferred, _HOLDS * len(nodes) * _EPS)
-    assert _same_bits(_column_lengths(coeffs), _column_lengths(ref_coeffs))
-    if exact:
-        assert _same_bits(coeffs, ref_coeffs)
-        assert _same_bits(factor, ref_factor)
-        return found
-    pert_coeffs, pert_factor, *_ = _sweep(
-        reference_serial_core, nodes, _ulp_perturbed(weights), col_degrees,
-        threshold, defer)
-    _assert_close_by_column(coeffs, ref_coeffs, pert_coeffs)
-    # The divisor is the scale its column was normalized by, so it is held
-    # to the relative precision of the normalized coefficients too.
-    moved = max(abs(pert_factor - ref_factor),
-                ref_factor * np.abs(pert_coeffs - ref_coeffs).max())
-    assert abs(factor - ref_factor) <= max(1e-12 * ref_factor, 10.0 * moved)
-    return found
+    assert_order_basis(coeffs, (nodes, weights, refs), -start, start, cd,
+                       deferred, _HOLDS * len(nodes) * _EPS)
+    return coeffs, factor, deferred, cd, None
+
+
+def _assert_tree_certified(system, diagnostics=None):
+    """Run the tree and assert that its basis is a reduced order basis for
+    every condition of ``system``, each holding to ``_TREE_HOLDS``, with
+    det B one constant at the grid's midpoints.  Returns (basis,
+    col_degrees, deferred)."""
+    basis, cd, deferred = rec_tan_int(system, diagnostics=diagnostics)
+    assert_order_basis(basis.coeffs, all_conditions(system), system.tau,
+                       -system.tau, cd, [], _TREE_HOLDS, grid=system.order)
+    return basis, cd, deferred
+
+
+def _assert_solves(problem, basis, col_degrees):
+    """The basis's solution has a relative residual and a forward error
+    against the dense reference below 1e-8."""
+    x = extract_solution(basis, col_degrees, problem.n)
+    rhs = problem.normal_rhs_vector()
+    gap = np.linalg.norm(apply_normal_operator(problem, x) - rhs)
+    assert gap < 1e-8 * np.linalg.norm(rhs)
+    assert rel_err(x, dense_tikhonov(problem)) < 1e-8
 
 
 def _sweep_inputs(system, order):
@@ -881,10 +842,10 @@ def test_natural_order_sweeps_hold_their_conditions(variant):
     # Adjacent nodes in natural order made a fixed-order sweep
     # ill-conditioned: it deferred 58, 55 and 17 conditions and held the
     # rest to 2e-9, 3e-9 and 4e-6.  The pivoted sweep takes its own order,
-    # defers none and matches the reference to rounding.
+    # defers none and returns a reduced order basis.
     system = assemble(random_problem(variant, 64, np.random.default_rng(74)))
     nodes, weights, col_degrees = _sweep_inputs(system, np.arange(system.order))
-    _, _, deferred, _, _ = _assert_sweeps_match(nodes, weights, col_degrees)
+    _, _, deferred, _, _ = _assert_sweep_certified(nodes, weights, col_degrees)
     assert deferred == []
 
 
@@ -895,13 +856,17 @@ def test_scalar_sweep_matches_reference_on_deferring_and_raising_sweeps():
     nodes, weights, col_degrees = _sweep_inputs(
         system, np.sort(_leaf_indices(system.order, 0, 8)))
     assert len(nodes) == 192
-    _, _, deferred, _, _ = _assert_sweeps_match(nodes, weights, col_degrees)
+    _, _, deferred, defer_cd, _ = _assert_sweep_certified(nodes, weights,
+                                                          col_degrees)
     assert len(deferred) > 0.1 * len(nodes)
-    # The raising sweep absorbs the conditions it takes before the first
-    # that the deferring sweep deferred.
-    *_, cd, error = _assert_sweeps_match(nodes, weights, col_degrees,
-                                         defer=False)
+    # Its first deferral leaves no pending condition that sees the lowest
+    # column, so it defers every condition after it with the ledger
+    # unchanged.  The raising sweep takes the same decisions up to that
+    # condition and raises there, with the same ledger.
+    *_, cd, error = _assert_sweep_certified(nodes, weights, col_degrees,
+                                            defer=False)
     assert error is not None and not np.array_equal(cd, col_degrees)
+    assert np.array_equal(cd, defer_cd)
 
 
 def test_scalar_sweep_matches_reference_on_planted_pivots():
@@ -916,28 +881,53 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
     weights[2] = 0.0
     weights[13] = 0.0
     nodes = np.exp(2j * np.pi * rng.uniform(size=24))
-    _, _, deferred, _, _ = _assert_sweeps_match(nodes, weights, [0, 0, 2, 2])
+    _, _, deferred, _, _ = _assert_sweep_certified(nodes, weights, [0, 0, 2, 2])
     assert [k * 3 + row for k, row in deferred] == [2, 13]
     # A raising sweep absorbs the other 22 first.
-    *_, cd, error = _assert_sweeps_match(nodes, weights, [0, 0, 2, 2],
-                                         defer=False)
+    *_, cd, error = _assert_sweep_certified(nodes, weights, [0, 0, 2, 2],
+                                            defer=False)
     assert error is not None and cd.sum() == 4 + 22
     # Raising at the first condition leaves the ledger untouched.
-    *_, cd, error = _assert_sweeps_match(nodes[2:3], weights[2:3],
-                                         [0, 0, 2, 2], defer=False)
+    *_, cd, error = _assert_sweep_certified(nodes[2:3], weights[2:3],
+                                            [0, 0, 2, 2], defer=False)
     assert error is not None and cd.tolist() == [0, 0, 2, 2]
     # A condition repeated at a root of unity is left as rounding noise, not
-    # as zero, by the library's fused update of its residual row and by the
-    # reference's fresh evaluation alike: both call it annihilated against
-    # the floor of its starting value.
+    # as zero, by the fused update of its residual row; the sweep calls it
+    # annihilated against the floor of its starting value.
     for seed in range(8):
         w = crandn(np.random.default_rng(seed), 3)
         for node in np.exp(2j * np.pi * np.arange(8) / 8):
             twice = (np.array([node, node]), np.array([w, w]))
-            _, _, deferred, _, _ = _assert_sweeps_match(*twice, [0, 0, 0])
+            _, _, deferred, _, _ = _assert_sweep_certified(*twice, [0, 0, 0])
             assert deferred == [(0, 1)]
-            *_, error = _assert_sweeps_match(*twice, [0, 0, 0], defer=False)
+            *_, error = _assert_sweep_certified(*twice, [0, 0, 0], defer=False)
             assert error is not None
+    # Only columns 1 and 2 may pivot.  Row 0 leads column 1 with a
+    # sub-threshold pivot and is deferred; its zeroed row leaves the lead
+    # to row 2, which pivots on column 2.  That leaves column 1 alone
+    # lowest, where row 1 is below the threshold, so it is deferred too.
+    # Were row 0 still in the search it would lead again, send the sweep
+    # to the first pending row, row 1, and defer row 2 in its place.
+    weights = np.array([[1.0, 1e-10, 1e-10], [0.5, 0.0, 1.0],
+                        [0.0, 1e-11, 1.0]])
+    _, _, deferred, cd, _ = _assert_sweep_certified(
+        np.exp(2j * np.pi * np.arange(3) / 7), weights, [1, 0, 0])
+    assert deferred == [(0, 0), (0, 1)] and cd.tolist() == [1, 0, 1]
+
+
+def test_condition_repeated_mid_sweep_keeps_the_certificates():
+    # Condition 13 repeats condition 5, node and weights, among 24 at 16th
+    # roots of unity.  Its row, updated by every trip since its start, ends
+    # near the annihilation floor: the sweep defers the repeat in 49 of
+    # these 50 sweeps and absorbs it as rounding noise in one.  Whichever
+    # way the floor decides, the basis is a reduced order basis for the
+    # conditions the sweep absorbed.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        weights = crandn(rng, 24, 4)
+        nodes = np.exp(2j * np.pi * rng.integers(16, size=24) / 16)
+        weights[13], nodes[13] = weights[5], nodes[5]
+        _assert_sweep_certified(nodes, weights, [0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("row, col_degrees, pivot", [
@@ -951,39 +941,18 @@ def test_scalar_sweep_matches_reference_on_planted_pivots():
 def test_scalar_sweep_picks_the_first_largest_lowest_column(row, col_degrees,
                                                              pivot):
     # Against the identity phi is the weight row, so the planted magnitudes
-    # decide the first pivot: the first largest among the lowest columns,
-    # bit for bit with the reference's argmax over them.
-    *_, cd, _ = _assert_sweeps_match(np.array([1.0j]), np.array([row]),
-                                     col_degrees, exact=True)
+    # decide the first pivot: the first largest among the lowest columns.
+    *_, cd, _ = _assert_sweep_certified(np.array([1.0j]), np.array([row]),
+                                        col_degrees)
     expected = list(col_degrees)
     expected[pivot] += 1
     assert cd.tolist() == expected
     # The planted row leads a sweep whose later conditions pivot on the
-    # ledger it leaves, to rounding of the reference.
+    # ledger it leaves.
     rng = np.random.default_rng(80)
     weights = np.vstack([row, crandn(rng, 15, len(row))])
     nodes = np.exp(2j * np.pi * rng.uniform(size=16))
-    _assert_sweeps_match(nodes, weights, col_degrees)
-
-
-def _absorption_order(monkeypatch, nodes, weights, col_degrees):
-    """The condition indices the library's sweep and the reference absorb,
-    in the order each absorbs them: the library's read off its logged
-    trips, the reference's off the steps of its ``CubeWorkspace``, whose
-    nodes must differ."""
-    with monkeypatch.context() as patch:
-        trips = _log_trips(patch, len(nodes))
-        _sweep(tanint._serial_core, nodes, weights, col_degrees, 1e-8, True)
-    order, step = [], CubeWorkspace.step
-
-    def logged(self, j, node, mu):
-        order.append(int(np.flatnonzero(nodes == node)[0]))
-        return step(self, j, node, mu)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(CubeWorkspace, "step", logged)
-        _sweep(reference_serial_core, nodes, weights, col_degrees, 1e-8, True)
-    return [trip[0] for trip in trips], order
+    _assert_sweep_certified(nodes, weights, col_degrees)
 
 
 @pytest.mark.parametrize("weights, col_degrees, first", [
@@ -1013,75 +982,62 @@ def _absorption_order(monkeypatch, nodes, weights, col_degrees):
         "scaled-rows", "zero-column"])
 def test_sweep_takes_the_largest_row_of_the_first_lowest_column(
         monkeypatch, weights, col_degrees, first):
+    # The conditions the sweep absorbs, in its order, read off its trips.
     weights = np.array(weights, dtype=np.complex128)
     nodes = np.exp(2j * np.pi * np.arange(len(weights)) / 7)
-    for order in _absorption_order(monkeypatch, nodes, weights, col_degrees):
-        assert order[:len(first)] == first
-    _assert_sweeps_match(nodes, weights, col_degrees)
+    trips = _log_trips(monkeypatch, len(nodes))
+    _assert_sweep_certified(nodes, weights, col_degrees)
+    assert [trip[0] for trip in trips[:len(first)]] == first
 
 
 def test_scalar_sweep_matches_reference_on_exact_ties_zeros_and_edges():
-    # Against the identity, phi is the weight row itself, so a first step
-    # matches bit for bit.  Two candidates of equal magnitude: the first
-    # pivots.
+    # Against the identity, phi is the weight row itself.  Two candidates
+    # of equal magnitude: the first pivots.
     rng = np.random.default_rng(77)
     one = np.array([1.0j])
-    *_, cd, _ = _assert_sweeps_match(
-        one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2], exact=True)
+    *_, cd, _ = _assert_sweep_certified(
+        one, np.array([[1.0, 1.0j, 0.5, 0.5]]), [0, 0, 2, 2])
     assert cd.tolist() == [1, 0, 2, 2]
     # Conditions blind to columns 2 and 3 give them mu = 0 at every step,
     # so they are never mixed and keep length 1.
     weights = np.zeros((8, 4), dtype=np.complex128)
     weights[:, :2] = crandn(rng, 8, 2)
     nodes = np.exp(2j * np.pi * rng.uniform(size=8))
-    coeffs, *_ = _assert_sweeps_match(nodes, weights, [0, 0, 9, 9])
+    coeffs, *_ = _assert_sweep_certified(nodes, weights, [0, 0, 9, 9])
     assert _column_lengths(coeffs).tolist() == [5, 5, 1, 1]
     # A pivot magnitude on the threshold's last bit, where NumPy's
     # vectorized and scalar complex abs can round apart (they do on AVX-512
-    # hosts), so the deferral rests on which of the two the sweep takes.
+    # hosts).  The sweep tests the pivot's scalar abs, so it defers the
+    # condition exactly when that falls below the larger of the two.
     values = 1e-3 * crandn(rng, 64)
     apart = np.flatnonzero(np.abs(values) != [abs(v) for v in values])
     for v in values[apart[:4]] if apart.size else values[:1]:
         edge = max(np.abs(v[None])[0], abs(v))
-        _assert_sweeps_match(one, np.array([[v, 0.0, 1.0, 0.0]]),
-                             [0, 0, 2, 2], threshold=edge, exact=True)
+        _, _, deferred, _, _ = _assert_sweep_certified(
+            one, np.array([[v, 0.0, 1.0, 0.0]]), [0, 0, 2, 2], threshold=edge)
+        assert (deferred == [(0, 0)]) == (abs(v) < edge)
 
 
 @pytest.mark.parametrize("problem, defers", [
     (lambda: random_problem("general", 128, np.random.default_rng(7)), False),
     (lambda: _rect_problem(128, "p=1"), True),
 ], ids=["general-128", "deferred-cleanup"])
-def test_scalar_sweep_matches_reference_end_to_end(monkeypatch, problem, defers):
-    # Through the tree, the cleanup and one sweep over the whole system, the
-    # library's sweep and the cube reference take the same decisions, and
-    # the bases agree to rounding, against the reference on one-ulp
-    # perturbed weights.  The rect system's conditions at conjugate nodes
-    # start with rows of equal moduli, which the library's updated rows and
-    # the reference's fresh values leave a few ulps apart; the tie window
-    # ranks them alike.
-    system = assemble(problem())
-    perturbed = AssembledSystem(system.n, system.order, system.degree_bounds,
-                                _ulp_perturbed(system.weights), system.n_lim)
-    found = []
-    for core, system in ((tanint._serial_core, system),
-                         (reference_serial_core, system),
-                         (reference_serial_core, perturbed)):
-        monkeypatch.setattr(tanint, "_serial_core", core)
-        diag = TanIntDiagnostics()
-        basis, cd, deferred = rec_tan_int(system, diagnostics=diag)
-        serial, serial_cd, _ = serial_tan_int(*all_conditions(system),
-                                              -system.tau)
-        decisions = diag.as_dict()
-        scale = decisions.pop("max_column_scale")
-        found.append((decisions, deferred, cd, serial_cd, scale,
-                      basis.coeffs, serial.coeffs))
-    new, ref, pert = found
-    assert (new[0]["difficult_points"] > 0) == defers
-    assert new[:2] == ref[:2] == pert[:2]
-    assert _same_bits(new[2], ref[2]) and _same_bits(new[3], ref[3])
-    assert abs(new[4] - ref[4]) <= max(1e-12 * ref[4], 10.0 * abs(pert[4] - ref[4]))
-    for a, b, c in zip(new[5:], ref[5:], pert[5:]):
-        _assert_close_by_column(a, b, c)
+def test_scalar_sweep_matches_reference_end_to_end(problem, defers):
+    # Through the tree and the cleanup, and in one sweep over the whole
+    # system, the library's basis is a reduced order basis for every
+    # condition, and its solution matches the dense reference.
+    problem = problem()
+    system = assemble(problem)
+    diag = TanIntDiagnostics()
+    basis, cd, _ = _assert_tree_certified(system, diag)
+    assert (diag.difficult_points > 0) == defers
+    _assert_solves(problem, basis, cd)
+    conditions = all_conditions(system)
+    serial, serial_cd, deferred = serial_tan_int(*conditions, -system.tau)
+    assert deferred == []
+    assert_order_basis(serial.coeffs, conditions, system.tau, -system.tau,
+                       serial_cd, [], _HOLDS * len(conditions[0]) * _EPS)
+    _assert_solves(problem, serial, serial_cd)
 
 
 # -------------------------------------------------------------- extraction
