@@ -22,8 +22,10 @@ One sizing rule and one fill rule.  ``opt_extend`` pads n_tilde to
 N = 2**p * M with interleaved leaf pairs in mind: 2 * rows * M <= n_lim,
 and M stays even through every halving.  The k = N - n_tilde new outward
 diagonals of each block's generator are zero for k <= 1 and echo the
-generator cyclically beyond.  ``assemble`` records the ``n_lim`` it sized
-the extension for, and the interpolation tree splits by that same budget.
+generator cyclically beyond.  ``assemble`` records the depth max(p, 1) of
+the coset tree the extension was sized for, and the interpolation tree
+splits to exactly that depth: its leaves are the pairs of M-node cosets at
+stride 2**p, or the root alone when p <= 1.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-def opt_extend(n_tilde: int, n_lim: int, rows: int = 3):
+def opt_extend(n_tilde: int, n_lim: int, rows: int):
     """Choose the extension count k so that N = n_tilde + k splits evenly.
 
     N factors as 2**p * M with the leaf size M small enough that an
@@ -112,14 +114,18 @@ class AssembledSystem:
     weights has shape (rows, N, p); condition (row, k) requires the unknown
     vector polynomial q to satisfy weights[row, k] . q(nodes[k]) = 0.  Column
     degree bounds encode the block widths; slot 0 carries the solution and
-    the last slot the constant.  ``n_lim`` is the leaf budget the order was
-    sized for.
+    the last slot the constant.  ``depth`` is the depth of the coset tree
+    the order was sized for: its leaves are the node pairs at stride
+    2**depth, or the root alone at depth 1, so a deeper tree needs that
+    stride to divide the order.
     """
 
-    def __init__(self, n, order, degree_bounds, weights, n_lim):
+    def __init__(self, n, order, degree_bounds, weights, depth):
+        if depth < 1 or (depth > 1 and order % 2 ** depth):
+            raise ValueError(f"no coset tree of depth {depth} over {order} nodes")
         self.n = n
         self.order = order
-        self.n_lim = n_lim
+        self.depth = depth
         self.degree_bounds = np.asarray(degree_bounds, dtype=np.int64)
         self.tau = self.degree_bounds - 1
         self.weights = weights
@@ -140,7 +146,8 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     factors = problem.factors
     k = len(factors)
     n, n_tilde = problem.n, problem.n_tilde
-    order = n_tilde + opt_extend(n_tilde, n_lim, rows=k + 1)[0]
+    ext, p, _ = opt_extend(n_tilde, n_lim, rows=k + 1)
+    order = n_tilde + ext
     nodes = unit_roots(order)
     w = np.zeros((k + 1, order, 2 * k + 3), dtype=np.complex128)
     if problem.variant == "l2":
@@ -156,4 +163,4 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     w[0, :, -1] = _rhs_spectrum(problem.normal_rhs_vector(), order)
     rows = [block.rows for block in factors]
     bounds = [n, *rows, order - n, *(order - r for r in rows), 1]
-    return AssembledSystem(n, order, bounds, w, n_lim)
+    return AssembledSystem(n, order, bounds, w, max(p, 1))

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# Largest n the dense oracle materializes.
+_ORACLE_MAX_N = 2048
+
+
 @dataclass
 class SolveReport:
     x_hat: np.ndarray
@@ -81,10 +85,10 @@ def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:
     return out
 
 
-def dense_oracle(problem: ProblemSpec, max_n: int = 2048) -> np.ndarray:
+def dense_oracle(problem: ProblemSpec) -> np.ndarray:
     """Materialized reference solution, independent of every fast path."""
-    if problem.n > max_n:
-        raise ValueError(f"oracle limited to n <= {max_n}")
+    if problem.n > _ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to n <= {_ORACLE_MAX_N}")
     a = dense_normal_matrix(problem)
     if problem.normal_rhs is None:
         rhs = materialize(problem.T).conj().T @ problem.b

@@ -9,10 +9,12 @@ driver splits the nodes into root-of-unity cosets so updates ride the FFT.
 The tree is the one ``opt_extend`` sized the order for, N = 2**p * M.
 Every node is a pair of adjacent cosets {o, o + 1} mod a power-of-two
 stride, the root the pair (0, 1) at stride 2, and one split halves a node
-into the pairs (o, o + 1) and (o + s, o + s + 1) at stride 2s.  A leaf
-holds at most the system's ``n_lim`` conditions: the pairs of M-node
-cosets at stride 2**p, or the root alone when p <= 1.  A left basis is
-carried into its right sibling's weights by one grid evaluation.
+into the pairs (o, o + 1) and (o + s, o + s + 1) at stride 2s.  A node
+at stride 2**d is at depth d, and the leaves are the nodes at the
+system's ``depth``, max(p, 1): the pairs of M-node cosets at stride 2**p,
+2 * rows * M conditions each, or the root alone when p <= 1.  A left
+basis is carried into its right sibling's weights by one grid
+evaluation.
 
 Column degree bookkeeping is exact integer arithmetic: every absorbed
 condition raises exactly one column's shifted degree by one, and the pivot
@@ -76,8 +78,9 @@ them all.
 
 The column degrees are a plain int64 array that starts at ``-tau`` and is
 raised in place as conditions are absorbed.  The leaf budget is set in one
-place, ``assemble``'s ``n_lim``, and read from the system it returns, so
-the extension and the tree's split cannot disagree.
+place, ``assemble``'s ``n_lim``; the tree reads only the depth the
+extension was sized for, recorded on the system, so the extension and the
+tree's split cannot disagree.
 """
 
 from __future__ import annotations
@@ -137,21 +140,17 @@ class TanIntDiagnostics:
         return asdict(self)
 
 
-def _padded(rows: int) -> int:
-    """``rows`` rounded up to a multiple of ``_STORE_MIN_ROWS``."""
-    return -(-rows // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
-
-
-def _compacted(store, res: int, keep: list):
-    """(store, res) holding only the residual rows ``keep`` of ``store``, in
-    that order and padded with zero rows, over its coefficient block, with
+def _store(rows, block, have: int):
+    """(store, res): a Fortran-ordered store whose top ``res`` rows are
+    ``rows``, padded with zero rows to a multiple of ``_STORE_MIN_ROWS``,
+    over a coefficient block of ``have`` rows that starts with ``block``,
     every row copied exactly."""
-    rows, p = store.shape
-    kept = _padded(len(keep))
-    compact = np.zeros((kept + rows - res, p), dtype=np.complex128, order="F")
-    compact[:len(keep)] = store[keep]
-    compact[kept:] = store[res:]
-    return compact, kept
+    count, p = rows.shape
+    res = -(-count // _STORE_MIN_ROWS) * _STORE_MIN_ROWS
+    store = np.zeros((res + have, p), dtype=np.complex128, order="F")
+    store[:count] = rows
+    store[res:res + len(block)] = block
+    return store, res
 
 
 def _views(store, res: int, count: int, mu):
@@ -159,37 +158,18 @@ def _views(store, res: int, count: int, mu):
     head, pieces, cols).  ``cap`` is the number of coefficients the block
     holds, ``head`` a buffer for the pivot column, ``cols`` each column's
     ``count`` residual rows, and ``pieces`` the (x, y, a) operands of the
-    in-place ``zgeru`` calls that make the update ``store += head mu^T``,
-    each at most ``_SERIAL_BLAS_SIZE`` elements: the whole store when it
-    fits, else column groups while one column fits, else single-column
-    chunks of ``_SERIAL_BLAS_SIZE`` rows."""
+    in-place ``zgeru`` calls that make the update ``store += head mu^T``:
+    blocks of k columns by h rows, k = min(p, max(1, S // rows)) and
+    h = min(rows, S) for S = ``_SERIAL_BLAS_SIZE``, so that each holds at
+    most S elements.  That is the whole store when it fits, else column
+    groups while one column fits, else single-column chunks of S rows."""
     rows, p = store.shape
-    head = np.empty(rows, dtype=np.complex128)
     size = _SERIAL_BLAS_SIZE
-    if rows * p <= size:
-        pieces = [(head, mu, store)]
-    elif rows <= size:
-        k = size // rows
-        pieces = [(head, mu[a:a + k], store[:, a:a + k]) for a in range(0, p, k)]
-    else:
-        pieces = [(head[r:r + size], mu[a:a + 1], store[r:r + size, a:a + 1])
-                  for a in range(p) for r in range(0, rows, size)]
+    k, h = min(p, max(1, size // rows)), min(rows, size)
+    head = np.empty(rows, dtype=np.complex128)
+    pieces = [(head[r:r + h], mu[a:a + k], store[r:r + h, a:a + k])
+              for a in range(0, p, k) for r in range(0, rows, h)]
     return (rows - res) // p, head, pieces, [store[:count, k] for k in range(p)]
-
-
-def _grown(store, res: int, length: int) -> np.ndarray:
-    """``store``, or when its coefficient block below the ``res`` residual
-    rows holds fewer than ``length`` coefficients, a store whose block has
-    doubled until it does, with every row of ``store`` copied exactly."""
-    rows, p = store.shape
-    have = rows - res
-    if have >= length * p:
-        return store
-    while have < length * p:
-        have *= 2
-    grown = np.zeros((res + have, p), dtype=np.complex128, order="F")
-    grown[:rows] = store
-    return grown
 
 
 def _normalize_columns(coeffs) -> float:
@@ -230,15 +210,21 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     search.  The store does not outlive the sweep: the basis is read from
     it once, when the sweep ends.
 
+    ``_store`` builds every store of the sweep, copying each row exactly:
+    the first from the scaled weights over the identity in a block of
+    ``_STORE_MIN_ROWS`` rows, and each later one from rows of the store it
+    replaces.
+
     Compaction: once a residual block of at least ``_COMPACT_MIN_ROWS``
-    rows has retired half of its conditions, ``_compacted`` rebuilds the
-    store with only the pending rows, in their order, padded again, over
-    the same coefficient block; ``points``, ``refs``, ``res_nodes``,
+    rows has retired half of its conditions, the store is rebuilt with
+    only the pending rows, in their order, padded again, over the same
+    coefficient block; ``points``, ``refs``, ``res_nodes``,
     ``pending``, ``cols`` and the update's pieces follow, and row t names
     the t-th pending condition from then on.  The order is kept, so the
     row rule's first row within the tie window is the same condition, and
     every row is copied exactly, so compaction moves no bit.  Only the
-    cleanup's store is that large; a leaf holds at most ``n_lim`` rows.
+    cleanup's store is that large; a leaf holds 2 * rows * M rows, at most
+    the ``n_lim`` that ``opt_extend`` sized M for.
 
     ``lens[j]``, an int, is the coefficient length of column j: every
     coefficient row of that column at or past ``lens[j] * p`` is exactly
@@ -250,20 +236,24 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     number of conditions.
 
     The coefficient block holds a power-of-two number of rows, at least
-    ``_STORE_MIN_ROWS``, and ``_grown`` doubles it, copying its rows
-    exactly, only when the pivot column would outgrow ``cap``, the number
-    of coefficients it holds; so the update's work tracks the basis length.
+    ``_STORE_MIN_ROWS``, and is doubled, with all residual rows over the
+    old block, only when the pivot column would outgrow ``cap``, the number
+    of coefficients it holds; one doubling always makes room, as the block
+    holds at least p rows (p <= ``_STORE_MIN_ROWS``) and the pivot column
+    at most ``cap`` coefficients.  So the update's work tracks the basis
+    length.
     The padding of both blocks keeps the BLAS kernel's blocked and tail
     loops on the same rows whatever the store size, so a sweep's bits do
     not depend on when the store grew or was compacted.
 
     A trip's update, ``store += head mu^T``, is made by ``zgeru`` with
-    alpha = 1 in the pieces ``_views`` lists: the whole store while it
-    holds at most ``_SERIAL_BLAS_SIZE`` elements, as every leaf store
-    does, else column groups (an F-ordered column slice is F-contiguous),
-    else single-column chunks of ``_SERIAL_BLAS_SIZE`` rows.  OpenBLAS
-    threads ``zger`` past 9216 elements, which gains nothing on two cores
-    and stalls beside a busy process, so no call reaches it.  With
+    alpha = 1 in the pieces ``_views`` lists by its one rule: the whole
+    store while it holds at most ``_SERIAL_BLAS_SIZE`` elements, as every
+    leaf store does, else column groups (an F-ordered column slice is
+    F-contiguous), else single-column chunks of ``_SERIAL_BLAS_SIZE``
+    rows.  OpenBLAS threads ``zger`` past 9216 elements, which gains
+    nothing on two cores and stalls beside a busy process, so no call
+    reaches it.  With
     alpha = 1 each element gets mu_i * head_l added, the same product and
     sum in any piece, so the pieces leave the bits of one whole-store call.
     Each piece must be updated in place, or the sweep raises
@@ -305,13 +295,9 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
     raises.
     """
     count, p = weights.shape
-    res = _padded(count)
-    store = _grown(np.zeros((res + _STORE_MIN_ROWS, p), dtype=np.complex128,
-                            order="F"), res, 1)
     scale = np.abs(weights).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
-    np.divide(weights, scale[:, None], out=store[:count])
-    store[res:res + p] = np.eye(p)
+    store, res = _store(weights / scale[:, None], np.eye(p), _STORE_MIN_ROWS)
     res_nodes = np.zeros(res, dtype=np.complex128)
     res_nodes[:count] = nodes
     mu = np.empty(p, dtype=np.complex128)
@@ -328,7 +314,7 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
         for _ in range(count):
             if res >= _COMPACT_MIN_ROWS and 2 * left <= count:
                 keep = [t for t in range(count) if pending[t]]
-                store, res = _compacted(store, res, keep)
+                store, res = _store(store[keep], store[res:], len(store) - res)
                 res_nodes = np.append(res_nodes[keep],
                                       np.zeros(res - left, dtype=np.complex128))
                 points = [points[t] for t in keep]
@@ -373,7 +359,7 @@ def _serial_core(nodes, weights, refs, col_degrees, pivot_threshold, defer):
             phi.fill(0.0)
             lj = lens[j]
             if lj >= cap:
-                store = _grown(store, res, lj + 1)
+                store, res = _store(store[:res], store[res:], 2 * (len(store) - res))
                 cap, head, pieces, cols = _views(store, res, count, mu)
             head[:] = store[:, j]
             for x, y, a in pieces:
@@ -415,9 +401,9 @@ class _Engine:
 
     A node (o, s) holds the node indices k with k mod s equal to o or
     o + 1; the root (0, 2) holds them all.  Its left half is (o, 2s) and
-    its right half (o + s, 2s).  A node is a leaf when it holds at most
-    ``n_lim`` conditions, or when 2s does not divide the order; only a
-    hand-built system reaches the second case, and keeps an oversized leaf.
+    its right half (o + s, 2s).  A node is a leaf exactly at the system's
+    depth, at stride ``2 ** system.depth``; ``AssembledSystem`` checks
+    that this stride divides the order whenever the root splits.
 
     Weights are updated in place as left-subtree bases are produced, so a
     leaf always sees its conditions pre-multiplied by everything already
@@ -433,34 +419,33 @@ class _Engine:
         self.pristine = system.weights
         self.nodes = system.nodes
         self.col_degrees = -system.tau
-        self.n_lim = system.n_lim
+        self.depth = system.depth
         self.diag = diag
         self.deferred = []
 
     def run(self) -> MatrixPoly:
         self.diag.conditions_total = self.rows * self.order
-        basis = self._rec(0, 2, 1)
+        self.diag.recursion_depth = self.depth
+        basis = self._rec(0, 2)
         basis = self._cleanup(basis)
         self.diag.difficult_points = len(self.deferred)
         # Leaves, combines, and the cleanup pass each leave their output
         # column-normalized; normalizing again here would only perturb low bits
-        # and break bitwise agreement with a single serial sweep below n_lim.
+        # and break bitwise agreement with a single serial sweep at depth 1.
         return basis
 
     # -- tree walk ---------------------------------------------------------
 
-    def _rec(self, o, stride, depth) -> MatrixPoly:
-        self.diag.recursion_depth = max(self.diag.recursion_depth, depth)
-        child = 2 * stride
-        # The pair holds 2 * rows * order / stride conditions.
-        if 2 * self.rows * self.order <= self.n_lim * stride or self.order % child:
+    def _rec(self, o, stride) -> MatrixPoly:
+        if stride == 2 ** self.depth:
             return self._serial_leaf(o, stride)
-        b_left = self._rec(o, child, depth + 1)
+        child = 2 * stride
+        b_left = self._rec(o, child)
         for c in (o + stride, o + stride + 1):
             idx = np.arange(c, self.order, child)
             self.weights[:, idx] = self._premultiplied(
                 self.weights[:, idx], b_left.coeffs, c, child)
-        b_right = self._rec(o + stride, child, depth + 1)
+        b_right = self._rec(o + stride, child)
         return self._combine(b_left, b_right)
 
     def _combine(self, left, right) -> MatrixPoly:
@@ -523,7 +508,7 @@ class _Engine:
 
 
 def rec_tan_int(system: AssembledSystem, diagnostics: TanIntDiagnostics = None):
-    """Fast driver over leaves of at most ``system.n_lim`` conditions.
+    """Fast driver over the coset tree of ``system.depth`` levels.
 
     Returns (basis, col_degrees, deferred): the column-normalized basis,
     its final shifted column degrees as an int64 array that starts from

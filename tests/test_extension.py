@@ -37,7 +37,7 @@ def test_opt_extend_no_extension_needed():
 
 def test_opt_extend_validation():
     with pytest.raises(ValueError):
-        opt_extend(0, 256)
+        opt_extend(0, 256, rows=3)
     with pytest.raises(ValueError):
         opt_extend(100, 2, rows=3)
 
@@ -206,17 +206,17 @@ def test_condition_counts_and_widths():
     n = 8
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cases = [
-        (assemble(ProblemSpec.general(
-            random_spec(rng, n, n), random_spec(rng, n, n), b)), 3, 7),
-        (assemble(ProblemSpec.l2(random_spec(rng, n, n), 1.5, b)), 2, 5),
-        (assemble(ProblemSpec.gramian(
-            identity_gramian(n), random_spec(rng, n, n), b)), 2, 5),
+        (ProblemSpec.general(random_spec(rng, n, n), random_spec(rng, n, n), b), 3, 7),
+        (ProblemSpec.l2(random_spec(rng, n, n), 1.5, b), 2, 5),
+        (ProblemSpec.gramian(identity_gramian(n), random_spec(rng, n, n), b), 2, 5),
     ]
-    for system, rows, p in cases:
+    for problem, rows, p in cases:
+        system = assemble(problem)
         assert system.rows == rows
         assert system.p == p
         assert system.weights.shape == (rows, system.order, p)
-        assert system.n_lim == 256
+        # the tree depth the default budget of 256 sized the order for
+        assert system.depth == max(opt_extend(problem.n_tilde, 256, rows)[1], 1)
         assert system.degree_bounds[0] == n
         assert system.degree_bounds[-1] == 1
         assert np.array_equal(system.tau, system.degree_bounds - 1)

@@ -165,9 +165,11 @@ def test_leaf_budget_controls_recursion():
 
 def test_dense_oracle_size_guard():
     rng = np.random.default_rng(17)
-    problem = random_problem("l2", 8, rng)
-    with pytest.raises(ValueError):
-        dense_oracle(problem, max_n=4)
+    # n = 2049 is past the oracle's limit, which raises before anything
+    # dense is built.
+    problem = random_problem("l2", 2049, rng)
+    with pytest.raises(ValueError, match="n <= 2048"):
+        dense_oracle(problem)
 
 
 def test_dense_oracle_satisfies_normal_equations():

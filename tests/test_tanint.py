@@ -253,7 +253,7 @@ def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
     # conditions, counts that are not a multiple of the store's rows (as
     # the cleanup sweep's count can be), pad the residual rows that share
     # the update, and leave equal bits too.
-    grow = tanint._grown
+    build = tanint._store
     rng = np.random.default_rng(74)
     system = assemble(random_problem("general", 64, rng))
     for order in (rng.permutation(system.order), np.arange(system.order)):
@@ -264,13 +264,14 @@ def test_store_size_leaves_the_sweep_bits_alone(monkeypatch):
             for presize in (False, True):
                 stores = []
 
-                def grown(store, res, length, presize=presize, count=count):
-                    if presize:
-                        length = max(length, count + 1)
-                    stores.append((res, grow(store, res, length)))
-                    return stores[-1][1]
+                def sized(rows, block, have, presize=presize, count=count):
+                    while presize and have < (count + 1) * system.p:
+                        have *= 2
+                    store, res = build(rows, block, have)
+                    stores.append((res, store))
+                    return store, res
 
-                monkeypatch.setattr(tanint, "_grown", grown)
+                monkeypatch.setattr(tanint, "_store", sized)
                 cd = -system.tau
                 coeffs, factor, _ = tanint._serial_core(nodes, weights, refs,
                                                         cd, 1e-8, True)
@@ -509,8 +510,9 @@ def test_leaf_bases_carry_no_dead_tail(monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_tree_leaves_are_the_coset_pairs_opt_extend_sized(monkeypatch, variant):
     # opt_extend sizes N = 2**p * M; the tree's leaves are the pairs of
-    # M-node cosets at stride 2**p, or the root alone when p <= 1.  The
-    # second shape has an odd n_tilde, so an unsplit root has odd order.
+    # M-node cosets at stride 2**p, 2 * rows * M conditions each, or the
+    # root alone when p <= 1, which holds rows * M conditions when p = 0.
+    # The second shape has an odd n_tilde, so an unsplit root has odd order.
     leaves = _record_leaves(monkeypatch)
     for n in (1, 5, 16, 37, 100):
         odd = {"p": n + 1} if variant == "gramian" else {"m": n + 1}
@@ -521,7 +523,8 @@ def test_tree_leaves_are_the_coset_pairs_opt_extend_sized(monkeypatch, variant):
                 if 4 * rows > n_lim:   # below opt_extend's smallest leaf pair
                     continue
                 system = assemble(problem, n_lim=n_lim)
-                _, p, _ = opt_extend(problem.n_tilde, n_lim, rows=rows)
+                _, p, m = opt_extend(problem.n_tilde, n_lim, rows=rows)
+                assert system.depth == max(p, 1)
                 leaves.clear()
                 diag = TanIntDiagnostics()
                 rec_tan_int(system, diagnostics=diag)
@@ -529,12 +532,27 @@ def test_tree_leaves_are_the_coset_pairs_opt_extend_sized(monkeypatch, variant):
                                         for *_, o, s in leaves])
                 assert np.array_equal(np.sort(found), np.arange(system.order))
                 assert all(k <= n_lim for k, *_ in leaves)
+                per_leaf = rows * m * min(2 ** p, 2)
+                assert [k for k, *_ in leaves] == [per_leaf] * 2 ** (system.depth - 1)
                 if p <= 1:
                     assert [(o, s) for *_, o, s in leaves] == [(0, 2)]
                 else:
                     pairs = sorted((o, s) for *_, o, s in leaves)
                     assert pairs == [(o, 2 ** p) for o in range(0, 2 ** p, 2)]
                 assert diag.recursion_depth == max(p, 1)
+
+
+def test_tree_depth_must_fit_the_order():
+    # A tree of depth d >= 2 splits down to stride 2**d, which must divide
+    # the order, and every tree has at least its root, at depth 1.
+    system = assemble(random_problem("general", 37, np.random.default_rng(8)))
+    order = system.order
+    parts = (system.n, order, system.degree_bounds, system.weights)
+    depth = next(d for d in range(2, 64) if order % 2 ** d)
+    AssembledSystem(*parts, depth - 1)
+    for bad in (depth, depth + 1, 0):
+        with pytest.raises(ValueError):
+            AssembledSystem(*parts, bad)
 
 
 def _rect_problem(n: int, shape: str):
@@ -565,7 +583,7 @@ def test_cleanup_pivot_underflow_is_singular():
     weights = system.weights.copy()
     weights[0, 5, :] = 0.0
     broken = AssembledSystem(system.n, system.order,
-                             system.degree_bounds, weights, system.n_lim)
+                             system.degree_bounds, weights, system.depth)
     with pytest.raises(SingularSystemError):
         rec_tan_int(broken)
 
@@ -665,6 +683,31 @@ def test_rank_one_updates_stay_below_the_blas_threading_size(monkeypatch):
     _assert_serial_updates(calls)
 
 
+@pytest.mark.parametrize("res, have", [(256, 512), (2816, 128), (8064, 1024)])
+def test_update_pieces_tile_the_store(res, have):
+    # Stores of 768, 2944 and 9088 rows on 7 columns, as a leaf, a rect
+    # cleanup and a 1-row L's cleanup at n = 2048 reach: the whole store,
+    # column groups, and single-column chunks.  The pieces cover every
+    # element once, each within the BLAS threading size, as views of the
+    # store, the pivot column buffer and the multipliers.
+    p, size = 7, tanint._SERIAL_BLAS_SIZE
+    store, _ = tanint._store(np.zeros((res, p)), np.eye(p), have)
+    rows = len(store)
+    mu = np.empty(p, dtype=np.complex128)
+    _, head, pieces, _ = tanint._views(store, res, res, mu)
+    hits = np.zeros(store.shape, dtype=int)
+    for x, y, a in pieces:
+        assert a.size <= size and a.flags.f_contiguous and a.base is store
+        start = (a.ctypes.data - store.ctypes.data) // store.itemsize
+        r, c = start % rows, start // rows
+        hits[r:r + a.shape[0], c:c + a.shape[1]] += 1
+        assert x.base is head and x.ctypes.data == head[r:].ctypes.data
+        assert y.base is mu and y.ctypes.data == mu[c:].ctypes.data
+        assert (len(x), len(y)) == a.shape
+    assert (hits == 1).all()
+    assert len(pieces) == {768: 1, 2944: 4, 9088: 14}[rows]
+
+
 def test_compaction_leaves_the_sweep_bits_alone(monkeypatch):
     # One sweep over all 3072 conditions of a rect system drops its retired
     # residual rows at 3072, 1536 and 768 rows; the stable order keeps the
@@ -678,16 +721,21 @@ def test_compaction_leaves_the_sweep_bits_alone(monkeypatch):
     assert len(nodes) == 3072
     zero = [100, 1700, 2900]
     weights[zero] = 0.0
-    found, compact = [], tanint._compacted
+    found, build = [], tanint._store
     for trigger in (tanint._COMPACT_MIN_ROWS, 10**9):
         monkeypatch.setattr(tanint, "_COMPACT_MIN_ROWS", trigger)
-        blocks = []
+        blocks, built = [], []
 
-        def compacted(store, res, keep):
-            blocks.append((res, len(keep)))
-            return compact(store, res, keep)
+        def logged(rows, block, have):
+            # A compaction keeps fewer rows than the residual block holds;
+            # a doubling keeps them all.
+            if built and len(rows) < built[-1]:
+                blocks.append((built[-1], len(rows)))
+            store, res = build(rows, block, have)
+            built.append(res)
+            return store, res
 
-        monkeypatch.setattr(tanint, "_compacted", compacted)
+        monkeypatch.setattr(tanint, "_store", logged)
         cd = -system.tau
         coeffs, factor, deferred = tanint._serial_core(
             nodes, weights, refs, cd, tanint._PIVOT_THRESHOLD, True)
