@@ -49,17 +49,6 @@ def _parse_sizes(text: str):
     return sizes
 
 
-def _parse_beta_sq(text: str):
-    # "auto" stays a string, so the flag counts as given; it keeps the
-    # size-based default |beta|^2 = sqrt(n).
-    if text == "auto":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad squared ridge weight {text!r}")
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -97,13 +86,8 @@ def _random_problem(args) -> ProblemSpec:
 
 
 def _beta_value(args, n: int) -> complex:
-    if args.beta is not None:
-        return args.beta
-    if args.beta_sq not in (None, "auto"):
-        if args.beta_sq <= 0:
-            raise ValueError("--beta-sq must be positive")
-        return float(np.sqrt(args.beta_sq))
-    return float(n) ** 0.25
+    """--beta, or n^(1/4) (|beta|^2 = sqrt(n)) without it."""
+    return float(n) ** 0.25 if args.beta is None else args.beta
 
 
 def _file_problem(args) -> ProblemSpec:
@@ -124,14 +108,13 @@ def _file_problem(args) -> ProblemSpec:
 
 # Flags of ``solve`` that only some variants read.
 _VARIANT_FLAGS = {"m": ("general", "l2"), "p": ("general", "gramian"),
-                  "beta": ("l2",), "beta_sq": ("l2",)}
+                  "beta": ("l2",)}
 
 
 def _check_variant_flags(args):
     for name, variants in _VARIANT_FLAGS.items():
         if getattr(args, name) is not None and args.variant not in variants:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to the {args.variant} variant")
+            raise ValueError(f"--{name} does not apply to the {args.variant} variant")
 
 
 # Flags of ``solve`` that only shape a random instance.
@@ -244,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--b", help="JSON file with the data-side right-hand side")
     solve.add_argument("--rhs", help="JSON file with the normal-equation "
                                      "right-hand side (gramian variant)")
-    ridge = solve.add_mutually_exclusive_group()
-    ridge.add_argument("--beta", type=float, help="ridge weight")
-    ridge.add_argument("--beta-sq", type=_parse_beta_sq, dest="beta_sq",
-                       help="squared ridge weight, or auto for sqrt(n)")
+    solve.add_argument("--beta", type=float,
+                       help="ridge weight (default n^(1/4))")
     solve.add_argument("--n", type=int, help="size for a random instance")
     solve.add_argument("--m", type=int, help="data rows (default n)")
     solve.add_argument("--p", type=int, help="regularizer rows (default n)")

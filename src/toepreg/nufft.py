@@ -32,6 +32,7 @@ __all__ = [
     "second_difference_regularizer",
     "make_signal",
     "sample_matrix",
+    "nufft_problem",
     "run_nufft",
 ]
 
@@ -131,24 +132,29 @@ def make_signal(n: int, components: int, f_max: float,
     return x
 
 
+def nufft_problem(config: NufftConfig, rng: np.random.Generator):
+    """The reconstruction instance drawn from ``rng``: (problem, x_true,
+    weights_sum), the gramian ``ProblemSpec``, the planted coefficients and
+    the sum of the quadrature weights."""
+    freqs = rng.triangular(-0.5, 0.0, 0.5, size=config.samples)
+    weights = voronoi_weights(freqs)
+    x_true = make_signal(config.n, config.components, config.f_max, rng)
+
+    # Samples and the weighted rhs are formed densely, independent of the
+    # Toeplitz machinery under test.
+    a = sample_matrix(freqs, config.n)
+    rhs = a.conj().T @ (weights * (a @ x_true))
+
+    gram = weighted_fourier_gramian(freqs, weights, config.n)
+    reg = second_difference_regularizer(config.n, config.reg_scale)
+    return ProblemSpec.gramian(gram, reg, rhs), x_true, float(weights.sum())
+
+
 def run_nufft(config: NufftConfig = None) -> dict:
     """One full reconstruction; see the module docstring for the setup."""
     cfg = config or NufftConfig()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 93)))
-    freqs = rng.triangular(-0.5, 0.0, 0.5, size=cfg.samples)
-    weights = voronoi_weights(freqs)
-    x_true = make_signal(cfg.n, cfg.components, cfg.f_max, rng)
-
-    # Samples and the weighted rhs are formed densely, independent of the
-    # Toeplitz machinery under test.
-    a = sample_matrix(freqs, cfg.n)
-    samples = a @ x_true
-    rhs = a.conj().T @ (weights * samples)
-
-    gram = weighted_fourier_gramian(freqs, weights, cfg.n)
-    reg = second_difference_regularizer(cfg.n, cfg.reg_scale)
-    problem = ProblemSpec.gramian(gram, reg, rhs)
-
+    problem, x_true, weights_sum = nufft_problem(cfg, rng)
     report = solve_tikhonov(problem)
 
     op = NormalOperator(problem)
@@ -158,22 +164,21 @@ def run_nufft(config: NufftConfig = None) -> dict:
     cg_wall = time.perf_counter() - t0
 
     scale = float(np.linalg.norm(x_true))
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs = problem.normal_rhs_vector()
     out = {
         "n": cfg.n,
         "samples": cfg.samples,
         "reg_scale": cfg.reg_scale,
         "seed": cfg.seed,
-        "weights_sum": float(weights.sum()),
+        "weights_sum": weights_sum,
         "wall_direct": report.wall_time,
         "wall_cg": cg_wall,
         "cg_iterations": cg_iters,
         "rel_err_direct": float(np.linalg.norm(report.x_hat - x_true)) / scale,
         "rel_err_cg": float(np.linalg.norm(x_cg - x_true)) / scale,
-        "rel_residual_direct": float(
-            np.linalg.norm(op.apply(report.x_hat) - rhs)) / rhs_norm,
+        "rel_residual_direct": report.relative_residual,
         "rel_residual_cg": float(
-            np.linalg.norm(op.apply(x_cg) - rhs)) / rhs_norm,
+            np.linalg.norm(op.apply(x_cg) - rhs) / np.linalg.norm(rhs)),
         "difficult_points": report.diagnostics.difficult_points,
         "x_direct_re": report.x_hat.real.tolist(),
         "x_direct_im": report.x_hat.imag.tolist(),

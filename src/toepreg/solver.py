@@ -129,10 +129,6 @@ class NormalOperator:
         self.transforms += 1
         return np.fft.ifft(v)
 
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         p = self.problem
         n = p.n

@@ -463,17 +463,11 @@ class _Engine:
             grid_eval(coeffs, self.order, offset=offset, stride=stride), -1, 0)
         return np.einsum("rji,jik->rjk", weights, vals)
 
-    @staticmethod
-    def _cosets(o, stride):
-        """The node cosets (offset, stride) of the pair {o, o + 1} mod
-        ``stride``; the root leaf is the whole grid, one coset at stride 1."""
-        return [(0, 1)] if stride == 2 else [(o, stride), (o + 1, stride)]
-
     def _serial_leaf(self, o, stride) -> MatrixPoly:
-        """Absorb one leaf's conditions, node indices in natural order, in
-        one sweep; the sweep chooses its own order."""
-        idx = np.sort(np.concatenate([np.arange(c, self.order, s)
-                                      for c, s in self._cosets(o, stride)]))
+        """Absorb one leaf's conditions, the node indices of the pair
+        {o, o + 1} mod ``stride`` in natural order, in one sweep; the sweep
+        chooses its own order."""
+        idx = np.flatnonzero((np.arange(self.order) - o) % stride < 2)
         nodes, sub, refs = _flatten(self.weights, self.nodes, idx)
         coeffs, factor, deferred = _serial_core(nodes, sub, refs, self.col_degrees,
                                                 _PIVOT_THRESHOLD, True)

@@ -8,7 +8,6 @@ matrix in a circulant of 7-smooth order and use the FFT.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -249,8 +248,6 @@ def spec_to_json(spec: ToeplitzSpec) -> dict:
 
 
 def _json_object(obj) -> dict:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj

@@ -27,15 +27,7 @@ from toepreg.experiments import (
 )
 from toepreg.extension import assemble, opt_extend
 from toepreg.fftpoly import next_fast_len
-from toepreg.nufft import (
-    NufftConfig,
-    make_signal,
-    run_nufft,
-    sample_matrix,
-    second_difference_regularizer,
-    voronoi_weights,
-    weighted_fourier_gramian,
-)
+from toepreg.nufft import NufftConfig, nufft_problem, run_nufft
 from toepreg.solver import (
     CGConfig,
     apply_normal_operator,
@@ -230,22 +222,6 @@ def test_time_matched_conjugate_gradient_table():
         assert row["mean_iters"] >= 1.0
 
 
-def _nufft_problem(seed: int):
-    """The problem ``run_nufft(NufftConfig(seed=seed))`` solves, built from
-    the module's public helpers: (problem, x_true)."""
-    cfg = NufftConfig(seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 93)))
-    freqs = rng.triangular(-0.5, 0.0, 0.5, size=cfg.samples)
-    weights = voronoi_weights(freqs)
-    x_true = make_signal(cfg.n, cfg.components, cfg.f_max, rng)
-    a = sample_matrix(freqs, cfg.n)
-    rhs = a.conj().T @ (weights * (a @ x_true))
-    problem = ProblemSpec.gramian(
-        weighted_fourier_gramian(freqs, weights, cfg.n),
-        second_difference_regularizer(cfg.n, cfg.reg_scale), rhs)
-    return problem, x_true
-
-
 def test_nonuniform_reconstruction_beats_time_matched_cg():
     direct_wins = 0
     for seed in range(10):
@@ -257,6 +233,8 @@ def test_nonuniform_reconstruction_beats_time_matched_cg():
     # CG's error under the direct solve's wall time is hardware-bound:
     # reported, never asserted.  Run to a fixed tolerance, which no host
     # changes, CG reaches the same 5% on seed 0 (3e-4, in 1540 iterations).
-    problem, x_true = _nufft_problem(0)
+    # The problem run_nufft(NufftConfig(seed=0)) solves, from its stream.
+    rng = np.random.default_rng(np.random.SeedSequence((0, 93)))
+    problem, x_true, _ = nufft_problem(NufftConfig(seed=0), rng)
     x_cg, _ = cg_solve(problem, CGConfig(tolerance=1e-8))
     assert rel_err(x_cg, x_true) < 0.05

@@ -49,9 +49,9 @@ def test_solve_l2_from_files(tmp_path):
     code = main(["solve", "--variant", "l2",
                  "--input", write_json(tmp_path / "T.json", spec_to_json(t)),
                  "--b", write_json(tmp_path / "b.json", vector_to_json(b)),
-                 "--beta-sq", "auto", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
-    # auto keeps the default |beta|^2 = sqrt(n)
+    # without --beta the ridge weight is n^(1/4), |beta|^2 = sqrt(n)
     problem = ProblemSpec.l2(t, 16 ** 0.25, b)
     assert np.abs(read_vector(out) - dense_tikhonov(problem)).max() < 1e-9
 
@@ -105,8 +105,11 @@ def test_non_hermitian_gramian_rejected(tmp_path):
 
 
 def test_unknown_flag_exits_two(capsys):
-    assert main(["solve", "--variant", "l2", "--n", "8", "--frobnicate"]) == 2
-    assert "usage" in capsys.readouterr().err
+    # --beta is the one ridge flag; --beta-sq is unknown like any other.
+    for flag in (["--frobnicate"], ["--beta-sq", "9"]):
+        assert main(["solve", "--variant", "l2", "--n", "8"] + flag) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and f"unrecognized arguments: {flag[0]}" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "complexity", "accuracy",
@@ -125,8 +128,10 @@ def test_missing_subcommand_exits_two():
     assert main([]) == 2
 
 
-def test_bad_size_list_exits_two():
-    assert main(["complexity", "--sizes", "0,16"]) == 2
+def test_bad_size_list_exits_two(capsys):
+    for sizes in ("0,16", "4,x"):
+        assert main(["complexity", "--sizes", sizes]) == 2
+        assert f"bad size list {sizes!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["complexity", "accuracy", "cg-equiv"])
@@ -153,6 +158,24 @@ GOOD_T = {"rows": 2, "cols": 2, "gen_re": [0.0, 1.0, 0.0]}
 GOOD_B = {"re": [1.0, 2.0]}
 
 
+@pytest.mark.parametrize("variant, files, message", [
+    ("l2", {}, "either --input or --n is required"),
+    ("l2", {"--input": GOOD_T}, "l2 variant needs --b"),
+    ("gramian", {"--input": GOOD_T, "--reg": GOOD_T},
+     "gramian variant needs --reg and --rhs"),
+    ("gramian", {"--input": {"rows": 2, "cols": 3, "gen_re": [0.0] * 4},
+                 "--reg": GOOD_T, "--rhs": GOOD_B},
+     "Gramian matrix must be square"),
+], ids=["no-input", "l2-no-b", "gramian-no-rhs", "gramian-not-square"])
+def test_solve_without_its_input_exits_two(tmp_path, capsys, variant, files,
+                                           message):
+    args = ["solve", "--variant", variant]
+    for flag, doc in files.items():
+        args += [flag, write_json(tmp_path / f"{flag[2:]}.json", doc)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("t_doc, b_doc, named", [
     ({"rows": 4}, GOOD_B, "'gen_re'"),
     ({"rows": 2, "cols": 2, "gen_re": "abc"}, GOOD_B, "'gen_re'"),
@@ -174,19 +197,10 @@ def test_malformed_json_exits_two(tmp_path, capsys, t_doc, b_doc, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--beta-sq", "nan"), ("--beta", "inf")])
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf")])
 def test_non_finite_ridge_weight_exits_two(capsys, flag, value):
     assert main(["solve", "--variant", "l2", "--n", "8", flag, value]) == 2
     assert "finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("beta_sq", ["9", "auto"])
-def test_beta_and_beta_sq_together_exit_two(capsys, beta_sq):
-    # Either flag sets the ridge weight; given both, neither is dropped
-    # in silence.
-    assert main(["solve", "--variant", "l2", "--n", "8", "--beta", "2",
-                 "--beta-sq", beta_sq]) == 2
-    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_overflowing_ridge_weight_exits_two(capsys):
@@ -221,11 +235,7 @@ def test_random_instance_without_unknowns_exits_two(variant, capsys):
     ("gramian", "--m", "4"),
     ("l2", "--p", "4"),
     ("general", "--beta", "2"),
-    ("general", "--beta-sq", "2"),
     ("gramian", "--beta", "2"),
-    ("gramian", "--beta-sq", "2"),
-    ("general", "--beta-sq", "auto"),
-    ("gramian", "--beta-sq", "auto"),
 ])
 def test_flag_unused_by_variant_exits_two(capsys, variant, flag, value):
     assert main(["solve", "--variant", variant, "--n", "8", flag, value]) == 2

@@ -40,6 +40,8 @@ def test_opt_extend_validation():
         opt_extend(0, 256, rows=3)
     with pytest.raises(ValueError):
         opt_extend(100, 2, rows=3)
+    with pytest.raises(ValueError, match="serial budget too small"):
+        opt_extend(8, 4, rows=2)
 
 
 def test_opt_extend_satisfies_split_conditions_smoke():
