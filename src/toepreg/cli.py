@@ -21,6 +21,7 @@ from .experiments import (
     ExperimentConfig,
     dump_json,
     random_problem,
+    ridge_weight,
     run_accuracy,
     run_cg_equivalence,
     run_complexity,
@@ -81,13 +82,8 @@ def _random_problem(args) -> ProblemSpec:
         raise ValueError("either --input or --n is required")
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
-    beta = _beta_value(args, n) if args.variant == "l2" else None
-    return random_problem(args.variant, n, rng, m=args.m, p=args.p, beta=beta)
-
-
-def _beta_value(args, n: int) -> complex:
-    """--beta, or n^(1/4) (|beta|^2 = sqrt(n)) without it."""
-    return float(n) ** 0.25 if args.beta is None else args.beta
+    return random_problem(args.variant, n, rng, m=args.m, p=args.p,
+                          beta=args.beta)
 
 
 def _file_problem(args) -> ProblemSpec:
@@ -99,7 +95,8 @@ def _file_problem(args) -> ProblemSpec:
     if args.variant == "l2":
         if not args.b:
             raise ValueError("l2 variant needs --b")
-        return ProblemSpec.l2(spec, _beta_value(args, spec.cols), _load_vector(args.b))
+        beta = ridge_weight(spec.cols) if args.beta is None else args.beta
+        return ProblemSpec.l2(spec, beta, _load_vector(args.b))
     if not args.reg or not args.rhs:
         raise ValueError("gramian variant needs --reg and --rhs")
     return ProblemSpec.gramian(_hermitian_from_spec(spec), _load_spec(args.reg),
@@ -271,10 +268,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SingularSystemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+    except (SingularSystemError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -31,6 +31,7 @@ __all__ = [
     "free_parameters",
     "complex_normal",
     "random_problem",
+    "ridge_weight",
     "fit_complexity",
     "run_complexity",
     "run_accuracy",
@@ -87,12 +88,17 @@ def _trial_rng(seed: int, driver: str, variant: str, n: int, trial: int):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def ridge_weight(n: int) -> float:
+    """The default ridge weight n^(1/4), so |beta|^2 = sqrt(n)."""
+    return float(n) ** 0.25
+
+
 def random_problem(variant: str, n: int, rng: np.random.Generator,
                    m: int = None, p: int = None, beta: complex = None) -> ProblemSpec:
     """Random instance with n unknowns, m data rows and p regularizer rows
     (both n when not given; the gramian variant has no data rows).  The
-    ridge weight defaults to n^(1/4) and the Gramian diagonal is 10 sqrt(n),
-    which keeps conditioning mild across sizes."""
+    ridge weight defaults to ``ridge_weight(n)`` and the Gramian diagonal
+    is 10 sqrt(n), which keeps conditioning mild across sizes."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     m = n if m is None else m
@@ -103,7 +109,7 @@ def random_problem(variant: str, n: int, rng: np.random.Generator,
         return ProblemSpec.general(t, reg, complex_normal(rng, m))
     if variant == "l2":
         t = ToeplitzSpec(m, n, complex_normal(rng, m + n - 1))
-        beta = n ** 0.25 if beta is None else beta
+        beta = ridge_weight(n) if beta is None else beta
         return ProblemSpec.l2(t, beta, complex_normal(rng, m))
     if variant == "gramian":
         col = np.empty(n, dtype=np.complex128)

@@ -79,8 +79,6 @@ def extended_generating_sequence(spec: ToeplitzSpec, k: int) -> np.ndarray:
     gen = spec.gen
     if k < 0:
         raise ValueError("extension count must be nonnegative")
-    if k == 0:
-        return gen.copy()
     if k == 1:
         head = np.zeros(k, dtype=np.complex128)
     else:
@@ -95,10 +93,8 @@ def _aligned_spectrum(spec: ToeplitzSpec, order: int) -> np.ndarray:
     interpolation conditions consume; they are not the circulant's
     eigenvalues, which need the main diagonal rotated to the front first.
     """
-    k = order - spec.gen.size
-    if k < 0:
-        raise ValueError("circulant order smaller than the block generator")
-    return grid_eval(extended_generating_sequence(spec, k), order)
+    return grid_eval(extended_generating_sequence(spec, order - spec.gen.size),
+                     order)
 
 
 def _rhs_spectrum(rhs: np.ndarray, order: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .toeplitz import (
 __all__ = [
     "SolveReport",
     "solve_tikhonov",
+    "relative_residual",
     "dense_normal_matrix",
     "dense_oracle",
     "NormalOperator",
@@ -61,13 +62,19 @@ def solve_tikhonov(problem: ProblemSpec) -> SolveReport:
     basis, col_degrees, _ = rec_tan_int(system, diagnostics=diag)
     x = extract_solution(basis, col_degrees, problem.n)
     wall = time.perf_counter() - start
+    return SolveReport(x_hat=x, variant=problem.variant, wall_time=wall,
+                       relative_residual=relative_residual(problem, x),
+                       diagnostics=diag, final_col_degrees=col_degrees,
+                       basis=basis)
+
+
+def relative_residual(problem: ProblemSpec, x: np.ndarray) -> float:
+    """||A x - rhs|| / ||rhs|| for the normal matrix A and right-hand side
+    of ``problem``, or ||A x|| when rhs = 0."""
     rhs = problem.normal_rhs_vector()
     denom = float(np.linalg.norm(rhs))
     rel = float(np.linalg.norm(apply_normal_operator(problem, x) - rhs))
-    rel /= denom if denom > 0.0 else 1.0
-    return SolveReport(x_hat=x, variant=problem.variant, wall_time=wall,
-                       relative_residual=rel, diagnostics=diag,
-                       final_col_degrees=col_degrees, basis=basis)
+    return rel / (denom if denom > 0.0 else 1.0)
 
 
 def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "adjoint_spec",
     "toeplitz_adjoint_matvec",
     "ProblemSpec",
-    "spec_to_json",
     "spec_from_json",
     "vector_to_json",
     "vector_from_json",
@@ -236,15 +235,6 @@ class ProblemSpec:
         if self.normal_rhs is not None:
             return np.asarray(self.normal_rhs, dtype=np.complex128)
         return toeplitz_adjoint_matvec(self.T, self.b)
-
-
-def spec_to_json(spec: ToeplitzSpec) -> dict:
-    return {
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "gen_re": spec.gen.real.tolist(),
-        "gen_im": spec.gen.imag.tolist(),
-    }
 
 
 def _json_object(obj) -> dict:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: dense blocks, numpy solves, explicit
 loops.  The point is to check the fast paths against arithmetic that cannot
-share their failure modes.  The small polynomial and Toeplitz utilities
+share their failure modes.  The dense reference solution is the library's
+``solver.dense_oracle``.  The small polynomial, Toeplitz and JSON utilities
 below are used by the tests only, so they live here and not in the library.
 The one-pass serial driver is the recursive driver's reference.  The
 library's sweep has no second sweep to agree with: the order-basis
@@ -21,19 +22,12 @@ import numpy as np
 from toepreg import tanint
 from toepreg.extension import AssembledSystem, extended_generating_sequence
 from toepreg.fftpoly import MatrixPoly, grid_eval
-from toepreg.solver import dense_normal_matrix
 from toepreg.tanint import SingularSystemError
-from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
+from toepreg.toeplitz import HermitianToeplitzSpec, ToeplitzSpec, materialize
 
 # Degree of the zero polynomial.  A dedicated sentinel (never -1) keeps the
 # max/sum arithmetic on degrees total.
 NEG_INF = float("-inf")
-
-
-def dense_tikhonov(problem: ProblemSpec) -> np.ndarray:
-    """Closed-form minimizer via a plain dense solve."""
-    return np.linalg.solve(dense_normal_matrix(problem),
-                           problem.normal_rhs_vector())
 
 
 def null_space_solution(system):
@@ -59,6 +53,16 @@ def random_spec(rng, rows: int, cols: int) -> ToeplitzSpec:
 
 
 # -- Toeplitz blocks ---------------------------------------------------------
+
+
+def spec_to_json(spec: ToeplitzSpec) -> dict:
+    """The JSON object ``toeplitz.spec_from_json`` reads."""
+    return {
+        "rows": spec.rows,
+        "cols": spec.cols,
+        "gen_re": spec.gen.real.tolist(),
+        "gen_im": spec.gen.imag.tolist(),
+    }
 
 
 def identity_spec(n: int, scale: complex = 1.0) -> ToeplitzSpec:

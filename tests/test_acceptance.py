@@ -9,6 +9,7 @@ conjugate gradient table, and the nonuniform sampling comparison.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from toepreg.solver import (
     solve_tikhonov,
 )
 from toepreg.tanint import extract_solution, rec_tan_int
-from toepreg.toeplitz import ProblemSpec
 
 
 def _solve_record(problem, reference, entrywise: bool):
@@ -94,9 +94,7 @@ def planted_corpus():
             problem = random_problem(variant, 512, rng)
             x_true = complex_normal(rng, 512)
             y = apply_normal_operator(problem, x_true)
-            planted = ProblemSpec(variant=variant, T=problem.T, L=problem.L,
-                                  G=problem.G, beta=problem.beta, b=None,
-                                  normal_rhs=y)
+            planted = replace(problem, b=None, normal_rhs=y)
             record = _solve_record(planted, x_true, entrywise=True)
             solve_time += record["elapsed"]
             records.append(record)

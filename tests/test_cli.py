@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 import toepreg
-from helpers import dense_tikhonov, random_spec
+from helpers import random_spec, spec_to_json
+from toepreg import cli
 from toepreg.cli import main
 from toepreg.experiments import random_problem, write_rows
-from toepreg.toeplitz import ProblemSpec, ToeplitzSpec, spec_to_json, vector_to_json
+from toepreg.solver import dense_oracle
+from toepreg.toeplitz import ProblemSpec, ToeplitzSpec, vector_to_json
 
 
 def write_json(path, obj):
@@ -53,7 +55,7 @@ def test_solve_l2_from_files(tmp_path):
     assert code == 0
     # without --beta the ridge weight is n^(1/4), |beta|^2 = sqrt(n)
     problem = ProblemSpec.l2(t, 16 ** 0.25, b)
-    assert np.abs(read_vector(out) - dense_tikhonov(problem)).max() < 1e-9
+    assert np.abs(read_vector(out) - dense_oracle(problem)).max() < 1e-9
 
 
 def test_solve_general_from_files(tmp_path):
@@ -69,7 +71,7 @@ def test_solve_general_from_files(tmp_path):
                  "--out", str(out)])
     assert code == 0
     problem = ProblemSpec.general(t, reg, b)
-    assert np.abs(read_vector(out) - dense_tikhonov(problem)).max() < 1e-9
+    assert np.abs(read_vector(out) - dense_oracle(problem)).max() < 1e-9
 
 
 def test_solve_gramian_from_files(tmp_path):
@@ -276,6 +278,15 @@ def test_singular_system_exits_three(tmp_path, capsys):
                                      vector_to_json(np.ones(n)))])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_linalg_error_in_a_subcommand_exits_three(monkeypatch, capsys):
+    def fail(config):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_cg_equivalence", fail)
+    assert main(["cg-equiv", "--sizes", "8", "--trials", "1"]) == 3
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
 
 
 def test_complexity_csv(tmp_path, capsys):

@@ -5,13 +5,13 @@ import pytest
 
 from helpers import (
     circulant_spectrum,
-    dense_tikhonov,
     identity_spec,
     null_space_solution,
     random_spec,
     rel_err,
 )
 from toepreg.extension import assemble, extended_generating_sequence, opt_extend
+from toepreg.solver import dense_oracle
 from toepreg.toeplitz import HermitianToeplitzSpec, ProblemSpec, ToeplitzSpec, materialize
 
 
@@ -62,6 +62,12 @@ def test_zero_fill_extension():
     assert np.array_equal(extended_generating_sequence(spec, 0), spec.gen)
     ext = extended_generating_sequence(spec, 1)
     assert ext[0] == 0.0 and np.array_equal(ext[1:], spec.gen)
+
+
+def test_negative_extension_count_is_rejected():
+    spec = ToeplitzSpec(2, 2, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^extension count must be nonnegative$"):
+        extended_generating_sequence(spec, -1)
 
 
 def test_echo_fill_copies_coefficients_outward():
@@ -189,7 +195,7 @@ def test_null_space_matches_dense_solution():
             # the stacked matrix has one more column than rows, so a
             # one-dimensional null space means full row rank
             assert s[-1] > 1e-8 * s[0], (variant, n)
-            assert rel_err(x, dense_tikhonov(problem)) < 1e-9, (variant, n)
+            assert rel_err(x, dense_oracle(problem)) < 1e-9, (variant, n)
 
 
 def test_rectangular_general_assembly():
@@ -200,7 +206,7 @@ def test_rectangular_general_assembly():
     problem = ProblemSpec.general(t, l, b)
     system = assemble(problem)
     x, _ = null_space_solution(system)
-    assert rel_err(x, dense_tikhonov(problem)) < 1e-9
+    assert rel_err(x, dense_oracle(problem)) < 1e-9
 
 
 def test_condition_counts_and_widths():

@@ -1,5 +1,6 @@
 """Polynomial and matrix-polynomial arithmetic over root-of-unity grids."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -154,6 +155,16 @@ def test_grid_eval_coset_matches_horner():
 def test_grid_eval_rejects_bad_stride():
     with pytest.raises(ValueError):
         grid_eval(np.ones(3), 8, stride=3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: grid_eval(np.ones(3), 0), "grid size must be positive"),
+    (lambda: MatrixPoly(np.ones((2, 3, 1))),
+     "expected a (p, p, length) coefficient array"),
+], ids=["empty-grid", "non-square-poly"])
+def test_shape_checks_name_the_mismatch(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_matrix_poly_identity_product():

@@ -14,7 +14,6 @@ from helpers import (
     all_conditions,
     assert_order_basis,
     basis_residuals,
-    dense_tikhonov,
     identity_poly,
     poly_eval,
     random_spec,
@@ -27,7 +26,7 @@ from helpers import (
 from toepreg.experiments import VARIANTS, random_problem
 from toepreg.extension import AssembledSystem, assemble, opt_extend
 from toepreg.fftpoly import MatrixPoly, matpoly_multiply
-from toepreg.solver import apply_normal_operator
+from toepreg.solver import dense_oracle, relative_residual
 from toepreg.tanint import (
     SingularSystemError,
     TanIntDiagnostics,
@@ -376,7 +375,7 @@ def test_serial_full_small_problem():
     assert np.count_nonzero(cd == 1) == system.p - 1
     assert np.abs(basis.coeffs[:, :, -1]).max() > 0.0
     x = extract_solution(basis, cd, problem.n)
-    assert rel_err(x, dense_tikhonov(problem)) < 1e-9
+    assert rel_err(x, dense_oracle(problem)) < 1e-9
 
 
 def test_serial_prefix_monotonicity():
@@ -456,7 +455,7 @@ def test_recursive_matches_serial_through_splits():
     x_serial = extract_solution(serial_basis, serial_cd, n)
     x_rec = extract_solution(rec_basis, rec_cd, n)
     assert rel_err(x_rec, x_serial) < 1e-9
-    assert rel_err(x_rec, dense_tikhonov(problem)) < 1e-9
+    assert rel_err(x_rec, dense_oracle(problem)) < 1e-9
 
 
 def test_recursive_defers_few_points_at_scale():
@@ -758,11 +757,8 @@ def test_cleanup_solves_a_one_row_regularizer_at_2048(monkeypatch):
     diag = TanIntDiagnostics()
     basis, cd, _ = rec_tan_int(assemble(problem), diagnostics=diag)
     x = extract_solution(basis, cd, problem.n)
-    rhs = problem.normal_rhs_vector()
-    residual = (np.linalg.norm(apply_normal_operator(problem, x) - rhs)
-                / np.linalg.norm(rhs))
     assert diag.difficult_points > 0
-    assert residual < 1e-8
+    assert relative_residual(problem, x) < 1e-8
     _assert_serial_updates(calls)
     assert ((tanint._SERIAL_BLAS_SIZE, 1), True) in calls
 
@@ -874,10 +870,8 @@ def _assert_solves(problem, basis, col_degrees):
     """The basis's solution has a relative residual and a forward error
     against the dense reference below 1e-8."""
     x = extract_solution(basis, col_degrees, problem.n)
-    rhs = problem.normal_rhs_vector()
-    gap = np.linalg.norm(apply_normal_operator(problem, x) - rhs)
-    assert gap < 1e-8 * np.linalg.norm(rhs)
-    assert rel_err(x, dense_tikhonov(problem)) < 1e-8
+    assert relative_residual(problem, x) < 1e-8
+    assert rel_err(x, dense_oracle(problem)) < 1e-8
 
 
 def _sweep_inputs(system, order):

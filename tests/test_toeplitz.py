@@ -1,18 +1,20 @@
 """Generator-form Toeplitz types, fast matvecs, and JSON plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gramian_generating_sequence, identity_spec, random_spec
+from helpers import gramian_generating_sequence, identity_spec, random_spec, spec_to_json
 from toepreg.toeplitz import (
     HermitianToeplitzSpec,
     ProblemSpec,
     ToeplitzSpec,
     adjoint_spec,
+    embedded_first_column,
     materialize,
     spec_from_json,
-    spec_to_json,
     toeplitz_adjoint_matvec,
     toeplitz_matvec,
     vector_from_json,
@@ -172,6 +174,22 @@ def test_problem_spec_validation():
     g = HermitianToeplitzSpec(4, np.array([2.0, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ProblemSpec.gramian(g, random_spec(rng, 4, 3), np.ones(4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HermitianToeplitzSpec(3, [1.0, 0.5]),
+     "first column must have length equal to the order"),
+    (lambda: ProblemSpec.l2(identity_spec(3), 1.0, np.ones(2)),
+     "right-hand side length must match the data rows"),
+    (lambda: ProblemSpec.gramian(HermitianToeplitzSpec(3, [2.0, 0.1, 0.0]),
+                                 identity_spec(3), np.ones(4)),
+     "right-hand side length must match the order"),
+    (lambda: embedded_first_column(ToeplitzSpec(2, 3, np.ones(4)), 3),
+     "circulant order too small for embedding"),
+], ids=["hermitian-column", "l2-rhs", "gramian-rhs", "embedding-order"])
+def test_shape_checks_name_the_mismatch(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_general_rejects_shapes_singular_by_rank():
