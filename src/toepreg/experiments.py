@@ -74,7 +74,7 @@ def free_parameters(variant: str, n: int) -> int:
     if variant == "l2":
         return 2 * n - 1
     if variant == "gramian":
-        return 3 * n - 2
+        return 3 * n - 1
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -7,16 +7,16 @@ vector conditions, one per node; unknown blocks become polynomial segments
 with prescribed degree bounds.  The solver then needs only the node weights
 produced here.
 
-Row layout for a problem with k penalty blocks B_1..B_k (``factors``: general
-has T and L, l2 has T, gramian has L).  There are 1 + k rows and 2k + 3
-slots (x, s_1..s_k, g_0..g_k, const); the last slot is the inhomogeneous one:
+Row layout for the normal matrix D + sum_i B_i^H B_i of a problem's k
+``factors`` B_i and its ``diagonal`` D, if any.  There are 1 + k rows and
+2k + 3 slots (x, s_1..s_k, g_0..g_k, const); the last is inhomogeneous:
 
-row 0     D x + sum_i B_i^H s_i + g_0 = rhs, where the diagonal term D is
-          the ridge beta_sq I (l2), the Gramian G (gramian) or absent
+row 0     D x + sum_i B_i^H s_i + g_0 = rhs
 row i     s_i = B_i x up to the fill g_i, with s_i as tall as B_i
 bounds    [n, rows_i..., N - n, N - rows_i..., 1]
 
-The g_i are free fill blocks absorbing the circulant wrap-around.
+The g_i are free fill blocks absorbing the circulant wrap-around.  D of
+half-width w needs only N >= n + w, so it may lose zero outer diagonals.
 
 One sizing rule and one fill rule.  ``opt_extend`` pads n_tilde to
 N = 2**p * M with interleaved leaf pairs in mind: 2 * rows * M <= n_lim,
@@ -74,11 +74,14 @@ def extended_generating_sequence(spec: ToeplitzSpec, k: int) -> np.ndarray:
     diagonals are zero for k <= 1 and echo the generator cyclically beyond.
     Any fill keeps the extended system's null space one-dimensional, but
     echo fill avoids the near-singular extensions a run of zeros can
-    produce.
+    produce.  A negative k drops the -k leading outward diagonals, which
+    must be zero.
     """
     gen = spec.gen
     if k < 0:
-        raise ValueError("extension count must be nonnegative")
+        if -k > gen.size or gen[:-k].any():
+            raise ValueError("extension count must be nonnegative")
+        return gen[-k:]
     if k == 1:
         head = np.zeros(k, dtype=np.complex128)
     else:
@@ -146,10 +149,8 @@ def assemble(problem: ProblemSpec, n_lim: int = 256) -> AssembledSystem:
     order = n_tilde + ext
     nodes = unit_roots(order)
     w = np.zeros((k + 1, order, 2 * k + 3), dtype=np.complex128)
-    if problem.variant == "l2":
-        w[0, :, 0] = problem.beta_sq * nodes ** (order - n)
-    elif problem.variant == "gramian":
-        w[0, :, 0] = _aligned_spectrum(problem.G.as_toeplitz(), order)
+    if problem.diagonal is not None:
+        w[0, :, 0] = _aligned_spectrum(problem.diagonal.as_toeplitz(), order)
     for i, block in enumerate(factors, 1):
         w[0, :, i] = _aligned_spectrum(adjoint_spec(block), order)
         w[i, :, 0] = -_aligned_spectrum(block, order)

@@ -79,12 +79,8 @@ def relative_residual(problem: ProblemSpec, x: np.ndarray) -> float:
 
 def dense_normal_matrix(problem: ProblemSpec) -> np.ndarray:
     """The regularized normal matrix assembled from materialized blocks."""
-    if problem.variant == "l2":
-        out = problem.beta_sq * np.eye(problem.n)
-    elif problem.variant == "gramian":
-        out = materialize(problem.G.as_toeplitz())
-    else:
-        out = None
+    d = problem.diagonal
+    out = None if d is None else materialize(d.as_toeplitz())
     for block in problem.factors:
         dense = materialize(block)
         term = dense.conj().T @ dense
@@ -106,14 +102,14 @@ def dense_oracle(problem: ProblemSpec) -> np.ndarray:
 
 class NormalOperator:
     """Matrix-free x -> (D + sum_B B^H B) x over the problem's ``factors`` B
-    and its diagonal term D (ridge, Gramian or none), FFT throughout.
+    and its ``diagonal`` term D, FFT throughout.
 
-    All blocks share one 7-smooth circulant order, so a (B, B^H) spectrum
-    pair per factor is cached once.  Each apply costs one forward transform
-    of x, three per factor and one more for a Gramian: 7 transforms for the
-    general variant, 4 for the ridge variant, 5 for the Gramian one.
-    ``transforms`` counts forward plus inverse FFT calls, for
-    instrumentation.
+    All terms share one 7-smooth circulant order, so a (B, B^H) spectrum
+    pair per factor and D's spectrum, embedded by its band, are cached once.
+    An apply costs one forward transform of x, two per factor and one
+    inverse transform of the summed spectra: 6 for the general variant, 4
+    for the ridge and Gramian ones.  ``transforms`` counts forward plus
+    inverse FFT calls, for instrumentation.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -122,8 +118,8 @@ class NormalOperator:
         self.q = next_fast_len(problem.n_tilde - 1)
         self._pairs = [(self._spectrum(block), self._spectrum(adjoint_spec(block)),
                         block.rows) for block in problem.factors]
-        if problem.variant == "gramian":
-            self._gramian = self._spectrum(problem.G.as_toeplitz())
+        d = problem.diagonal
+        self._diagonal = 0.0 if d is None else self._spectrum(d.band.as_toeplitz())
 
     def _spectrum(self, spec):
         return np.fft.fft(embedded_first_column(spec, self.q))
@@ -137,23 +133,15 @@ class NormalOperator:
         return np.fft.ifft(v)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        p = self.problem
-        n = p.n
         x = np.asarray(x, dtype=np.complex128)
         fx = self._fft(x)
-        if p.variant == "l2":
-            out = p.beta_sq * x
-        elif p.variant == "gramian":
-            out = self._ifft(self._gramian * fx)[:n]
-        else:
-            out = None
+        total = self._diagonal * fx
         for fwd, adj, rows in self._pairs:
-            # adjoint(B) @ (B @ x) from the transform of x; B has n columns
+            # the spectrum of adjoint(B) @ (B @ x); B has n columns
             mid = self._ifft(fwd * fx)
             mid[rows:] = 0.0
-            term = self._ifft(adj * self._fft(mid))[:n]
-            out = term if out is None else out + term
-        return out
+            total = total + adj * self._fft(mid)
+        return self._ifft(total)[:self.problem.n]
 
 
 def apply_normal_operator(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:

@@ -131,6 +131,14 @@ class HermitianToeplitzSpec:
     def as_toeplitz(self) -> ToeplitzSpec:
         return ToeplitzSpec(self.order, self.order, self.full_gen)
 
+    @property
+    def band(self) -> "HermitianToeplitzSpec":
+        """The leading block of order w + 1 for band half-width w; embedded in
+        a circulant of order >= n + w, it embeds the whole matrix."""
+        nonzero = np.flatnonzero(self.gen)
+        width = int(nonzero[-1]) if nonzero.size else 0
+        return HermitianToeplitzSpec(width + 1, self.gen[:width + 1])
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -139,6 +147,9 @@ class ProblemSpec:
     general:  min ||T x - b||^2 + ||L x||^2       (T m x n, L p x n)
     l2:       min ||T x - b||^2 + beta_sq ||x||^2
     gramian:  solve (G + L^H L) x = y with G Hermitian Toeplitz
+
+    Each is the normal matrix D + sum_B B^H B of its ``factors`` B and
+    ``diagonal`` D, which is all the solvers read.
     """
 
     variant: str
@@ -194,7 +205,7 @@ class ProblemSpec:
     @property
     def factors(self) -> tuple:
         """The Toeplitz blocks B whose Gram terms B^H B sum, together with
-        the ridge or Gramian diagonal term, into the normal matrix."""
+        the ``diagonal`` term, into the normal matrix."""
         if self.variant == "general":
             return (self.T, self.L)
         if self.variant == "l2":
@@ -204,12 +215,21 @@ class ProblemSpec:
         raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
+    def diagonal(self) -> Optional[HermitianToeplitzSpec]:
+        """The normal matrix's term D: the Gramian, beta_sq I, or None."""
+        if self.variant != "l2":
+            return self.G
+        col = np.concatenate(([self.beta_sq], np.zeros(self.n - 1)))
+        return HermitianToeplitzSpec(self.n, col)
+
+    @property
     def n_tilde(self) -> int:
-        """Rows of the tallest block (G counts as n x n) plus n: the order of
-        the augmented system before its circulant extension."""
+        """Rows of the tallest term plus n: the order of the augmented system
+        before its circulant extension.  D counts by its band, w + 1 rows
+        for half-width w: n for a full Gramian, 1 for a ridge."""
         rows = [block.rows for block in self.factors]
-        if self.G is not None:
-            rows.append(self.G.order)
+        if self.diagonal is not None:
+            rows.append(self.diagonal.band.order)
         return max(rows) + self.n
 
     @property

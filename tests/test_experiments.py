@@ -21,7 +21,7 @@ from toepreg.experiments import (
 def test_free_parameters_frozen_counts():
     assert free_parameters("general", 512) == 2046
     assert free_parameters("l2", 512) == 1023
-    assert free_parameters("gramian", 512) == 1534
+    assert free_parameters("gramian", 512) == 1535
     with pytest.raises(ValueError):
         free_parameters("dense", 512)
 

@@ -70,6 +70,14 @@ def test_negative_extension_count_is_rejected():
         extended_generating_sequence(spec, -1)
 
 
+def test_negative_extension_count_trims_leading_zeros():
+    spec = ToeplitzSpec(3, 3, [0.0, 0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(extended_generating_sequence(spec, -1), [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(extended_generating_sequence(spec, -2), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^extension count must be nonnegative$"):
+        extended_generating_sequence(spec, -3)
+
+
 def test_echo_fill_copies_coefficients_outward():
     spec = ToeplitzSpec(2, 2, [1.0, 2.0, 3.0])
     ext = extended_generating_sequence(spec, 2)
@@ -155,6 +163,22 @@ def test_identity_problem_null_space(variant, seed, n):
         problem = ProblemSpec.gramian(identity_gramian(n), eye, rhs)
     x, _ = null_space_solution(assemble(problem))
     assert np.abs(x - rhs / 2.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(16, 5), (16, 16), (16, 20), (512, 128)])
+def test_ridge_weight_is_beta_sq_times_shifted_nodes(n, m):
+    # The ridge's weight is the transform of its generator, beta_sq at
+    # coefficient order - n, so while the echo fill copies only zeros
+    # (order <= 3n - 2) it is beta_sq * nodes**(order - n) to a few ulps.
+    # The power is taken with its exponent reduced exactly, because
+    # ``nodes ** (order - n)`` is itself off by hundreds of ulps at n = 512.
+    rng = np.random.default_rng(47)
+    problem = ProblemSpec.l2(random_spec(rng, m, n), 1.5 - 0.5j, rng.standard_normal(m))
+    system = assemble(problem)
+    order = system.order
+    exact = np.exp(2j * np.pi * (np.arange(order) * (order - n) % order) / order)
+    err = np.abs(system.weights[0, :, 0] - problem.beta_sq * exact).max()
+    assert err <= 8 * np.finfo(float).eps * problem.beta_sq
 
 
 def test_coupling_identity_column_alternates_when_row_half_genuine():

@@ -210,10 +210,11 @@ def test_normal_operator_rectangular_blocks():
     assert rel_err(apply_normal_operator(problem, x), dense @ x) < 1e-12
 
 
-@pytest.mark.parametrize("variant,count", [("general", 7), ("l2", 4), ("gramian", 5)])
+@pytest.mark.parametrize("variant,count", [("general", 6), ("l2", 4), ("gramian", 4)])
 def test_normal_operator_transform_count(variant, count):
     # Generator spectra are cached at construction, so a single apply costs
-    # a fixed number of length-q transforms.
+    # a fixed number of length-q transforms: one for x, two per factor and
+    # one inverse of the summed spectra.
     rng = np.random.default_rng(21)
     problem = random_problem(variant, 16, rng)
     op = NormalOperator(problem)
@@ -222,6 +223,53 @@ def test_normal_operator_transform_count(variant, count):
     assert op.transforms == count
     op.apply(np.ones(16))
     assert op.transforms == 2 * count
+
+
+# -- the diagonal term counts in the order by its band ----------------------
+
+
+def banded_gramian_problem(rng, n: int, p: int) -> ProblemSpec:
+    """A tridiagonal, diagonally dominant Gramian with a p-row L."""
+    col = np.zeros(n, dtype=np.complex128)
+    col[:2] = 4.0, 1.0 - 0.5j
+    return ProblemSpec.gramian(HermitianToeplitzSpec(n, col), random_spec(rng, p, n),
+                               rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("m,order", [(128, 640), (513, 1088)], ids=["wide", "tall"])
+def test_ridge_keeps_order_m_plus_n(m, order):
+    # A ridge counts one row, so the data rows alone set the order.
+    problem = experiments.random_problem("l2", 512, np.random.default_rng(26), m=m)
+    assert problem.n_tilde == m + 512
+    assert assemble(problem).order == order
+    report = solve_tikhonov(problem)
+    assert rel_err(report.x_hat, dense_oracle(problem)) < 1e-9
+
+
+def test_banded_gramian_runs_at_order_n_plus_p():
+    # A tridiagonal Gramian counts two rows, so L's p = n/4 rows set the
+    # order n + p, where a full Gramian would set 2n.
+    n, p = 512, 128
+    problem = banded_gramian_problem(np.random.default_rng(27), n, p)
+    assert problem.n_tilde == n + p
+    assert assemble(problem).order == n + p
+    report = solve_tikhonov(problem)
+    assert report.diagnostics.difficult_points == 0
+    assert rel_err(report.x_hat, dense_oracle(problem)) < 1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: experiments.random_problem("l2", 512, rng, m=128),
+    lambda rng: banded_gramian_problem(rng, 512, 128),
+], ids=["wide-ridge", "banded-gramian"])
+def test_normal_operator_embeds_the_diagonal_by_its_band(build):
+    # The circulant is too short to hold D's full generator.
+    rng = np.random.default_rng(28)
+    problem = build(rng)
+    op = NormalOperator(problem)
+    assert op.q < 2 * problem.n - 1
+    x = (rng.standard_normal(problem.n) + 1j * rng.standard_normal(problem.n)) / np.sqrt(2.0)
+    assert rel_err(op.apply(x), dense_normal_matrix(problem) @ x) < 1e-12
 
 
 # -- conjugate gradients -----------------------------------------------------

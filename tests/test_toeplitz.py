@@ -1,6 +1,7 @@
 """Generator-form Toeplitz types, fast matvecs, and JSON plumbing."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,29 @@ def test_problem_spec_rejects_ridge_weight_whose_square_overflows(beta):
         ProblemSpec.l2(t, beta, [1.0, 2.0])
     # a large weight whose square stays finite still builds
     assert ProblemSpec.l2(t, 1e154, [1.0, 2.0]).beta_sq == 1e154 ** 2
+
+
+def test_problem_spec_diagonal_per_form():
+    rng = np.random.default_rng(16)
+    t, reg, b = random_spec(rng, 3, 4), random_spec(rng, 2, 4), np.ones(3)
+    assert ProblemSpec.general(t, reg, b).diagonal is None
+    ridge = ProblemSpec.l2(t, 3.0 - 4.0j, b)
+    assert ridge.G is None
+    assert np.array_equal(ridge.diagonal.gen, [25.0, 0.0, 0.0, 0.0])
+    planted = replace(ridge, b=None, normal_rhs=np.ones(4))
+    assert np.array_equal(planted.diagonal.gen, ridge.diagonal.gen)
+    g = HermitianToeplitzSpec(4, [3.0, 0.5j, 0.0, 0.0])
+    assert ProblemSpec.gramian(g, reg, np.ones(4)).diagonal is g
+
+
+@pytest.mark.parametrize("col, width", [
+    ([3.0, 0.5j, 0.0, 0.0], 2), ([3.0, 0.0, 0.0, 1.0], 4), ([2.0, 0.0, 0.0, 0.0], 1),
+    ([0.0, 0.0, 0.0, 0.0], 1),
+], ids=["tridiagonal", "full", "scalar", "zero"])
+def test_hermitian_band_ends_at_last_nonzero_entry(col, width):
+    band = HermitianToeplitzSpec(4, col).band
+    assert band.order == width
+    assert np.array_equal(band.gen, np.asarray(col)[:width])
 
 
 def test_normal_rhs_vector_general_matches_dense():
